@@ -1,12 +1,28 @@
 """Batched Monte Carlo estimation of protocol statistics.
 
 Runs many independent protocol attempts in vectorized form and reports
-success rates, fidelities and entanglement spending.  The engine
-reproduces the single-run sampling rules exactly - same uniform-deviate
-thresholds, same branch-folding guard, same draw layout - so a batch
-trial and :func:`~entrot.protocol.run_once` given the same deviates pick
-the same branches.  All randomness derives from one 64-bit seed through
-counter-based streams, making every summary bit-for-bit reproducible.
+success rates, fidelities and entanglement spending.  At a fixed
+parameter point and POVM, one attempt is a finite tree of classical
+transcripts: Alice's sign, Bob's POVM branch and, after a failure, the
+``b`` outcome and the recovery's sign and branch.  None of their
+probabilities depends on the data state, and every leaf acts on (A, B)
+as a constant diagonal unitary.
+
+So each call first builds a *transcript table*: it runs the reference
+step functions of :mod:`entrot.protocol` on one fixed probe state, with
+a deviate from the middle of each outcome's interval, and reads each
+leaf's diagonal off the probe.  The labels (branch, Bell pairs, the
+folding of a vanishing failure branch) are whatever those steps
+returned.  A trial then needs no state simulation.  Its deviates pick a
+leaf by the thresholds :func:`~entrot.protocol.run_once` applies, set
+at the constant probabilities (1/2 for a sign, ``x`` and ``x + y`` for
+the branch, the normalized ``c^2 r_j0^2 + s^2 r_j1^2`` for ``b``)
+instead of each state's Born weights, which equal them up to round-off.
+Its fidelity follows from the leaf's diagonal and the input.  So a
+batch trial and a single run given the same deviates pick the same
+branches unless a deviate falls within round-off of a threshold.  All
+randomness derives from one 64-bit seed through counter-based streams,
+making every summary bit-for-bit reproducible.
 
 Draw layout per trial (columns of the decision matrix):
 
@@ -23,13 +39,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .entanglement import resource_entropy
-from .povm import (HALF_PI, PovmWeights, ProtocolParams, build_povm, optimum,
-                   povm_vectors)
-from .protocol import BRANCH_MIN_PROB, controlled_rotation, wrap_angle
+from .povm import PovmWeights, ProtocolParams, build_povm, optimum
+from .protocol import (_rng_from_seed, controlled_rotation, failure_residual,
+                       finish_success, initial_register, recover_with_bell,
+                       step1_alice, step2_bob, step3_bob, step4_bob_povm,
+                       wrap_angle)
 from .qmath import StateVector, psd_sqrt2
 
 __all__ = ["SummaryStats", "monte_carlo"]
@@ -43,209 +62,183 @@ _CHUNK = 1 << 16
 _DECISION_CHANNEL = 1
 _INPUT_CHANNEL = 2
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+#: The table is read off this data state.  Its amplitudes all differ in
+#: modulus, so a leaf that moved weight between basis states would fail
+#: the unit-modulus check instead of passing for a diagonal.
+_PROBE = StateVector(("A", "B"),
+                     np.array([1.0, 2.0j, -3.0, -4.0j]) / math.sqrt(30.0))
 
-#: Sign pattern of ``sz x sz`` on the data register (A, B).
-_D4 = np.array([1.0, -1.0, -1.0, 1.0])
+#: Deviate thresholds of a fair x-basis outcome, and of the recovery
+#: POVM's branches (weights 1/2, 1/2 at a Bell resource, never failing).
+_SIGN_EDGES = (0.5,)
+_RECOVERY_EDGES = (0.5, 1.0)
 
-#: Register layout used by the engine, mirroring the single-run order
-#: (a, A, B, b): basis index 8a + 4A + 2B + b.
-_A0B0 = [0, 2, 4, 6]     # a = 0, b = 0 block, one column per (A, B)
-_A1B1 = [9, 11, 13, 15]  # a = 1, b = 1 block
-_B_ODD = [1, 3, 5, 7]    # b = 1 within the 8-dim (A, B, b) register
-_BB_PHASE = [3, 7]       # B = 1 and b = 1: flipped by Bob's controlled phase
-
-
-def _channel_rng(seed: int, channel: int) -> np.random.Generator:
-    """Counter-based generator for one purpose-specific stream."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
-    return np.random.Generator(np.random.Philox(key=int(seed) + (channel << 64)))
+#: How far a leaf's diagonal may stray from unit modulus, and the leaf
+#: probabilities' sum from 1, before the table is rejected.
+_UNIT_TOL = 1e-12
+_SUM_TOL = 1e-9
 
 
-def _haar_block(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` Haar-random two-qubit states as normalized rows."""
+def _haar_weights(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Basis weights ``|phi_k|^2`` of ``n`` Haar-random two-qubit states,
+    the states :func:`~entrot.qmath.haar_state` builds from each row of
+    8 normals.  The fidelity of a diagonal leaf needs nothing else."""
     z = rng.standard_normal((n, 8))
-    phi = z[:, :4] + 1j * z[:, 4:]
-    return phi / np.linalg.norm(phi, axis=1, keepdims=True)
+    weight = z[:, :4] ** 2 + z[:, 4:] ** 2
+    weight /= weight.sum(axis=1, keepdims=True)
+    return weight
 
 
-@dataclass(eq=False)
-class _SuccessArm:
-    """One rank-one POVM outcome: its element, Kraus and leftover b state."""
-
-    element: np.ndarray
-    kraus: np.ndarray
-    b_state: np.ndarray
-
-
-@dataclass(eq=False)
-class _Kernel:
-    """Everything the vectorized engine precomputes for one parameter point."""
-
-    cos_half: float
-    sin_half: float
-    arm1: _SuccessArm
-    arm2: _SuccessArm
-    kraus3: np.ndarray
-    target_diag: np.ndarray                    # goal gate is diagonal
-    theta_remaining: tuple[float, float]       # per failure b outcome
-    recovery: tuple["_Kernel | None", "_Kernel | None"]
+def _bins(edges):
+    """Cut [0, 1) at ``edges``.  Yields each bin's width and a deviate
+    inside it, as far from its ends as rounding allows (None when the
+    bin is empty)."""
+    cuts = (0.0, *edges, 1.0)
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = lo + 0.5 * (hi - lo)
+        inside = (mid if mid < hi else lo) if lo < hi else None
+        yield max(hi - lo, 0.0), inside
 
 
-def _make_kernel(params: ProtocolParams, weights: PovmWeights,
-                 with_recovery: bool) -> _Kernel:
-    povm = build_povm(params, weights)
-    if not povm.positive:
-        raise ValueError(
-            f"weights ({weights.x}, {weights.y}) give a non-positive POVM "
-            f"(min eigenvalue {povm.min_eig_e3:.3e})")
-    v1, v2 = povm_vectors(params)
-    arm1 = _SuccessArm(povm.e1, psd_sqrt2(povm.e1), v1 / np.linalg.norm(v1))
-    arm2 = _SuccessArm(povm.e2, psd_sqrt2(povm.e2), v2 / np.linalg.norm(v2))
-    kraus3 = psd_sqrt2(povm.e3)
-    r = kraus3.real
-    c, s = params.cos_half_alpha, params.sin_half_alpha
-    theta_rem = []
-    recovery: list[_Kernel | None] = []
-    for j in (0, 1):
-        theta_f = wrap_angle(2.0 * math.atan2(r[j, 1] * s, r[j, 0] * c))
-        rem = wrap_angle(params.theta - theta_f)
-        theta_rem.append(rem)
-        if with_recovery and rem != 0.0:
-            recovery.append(_make_kernel(ProtocolParams(rem, HALF_PI),
-                                         PovmWeights(0.5, 0.5),
-                                         with_recovery=False))
-        else:
-            recovery.append(None)
-    return _Kernel(cos_half=c, sin_half=s, arm1=arm1, arm2=arm2,
-                   kraus3=kraus3,
-                   target_diag=controlled_rotation(params.theta).diagonal(),
-                   theta_remaining=(theta_rem[0], theta_rem[1]),
-                   recovery=(recovery[0], recovery[1]))
+def _reading(state: StateVector) -> np.ndarray:
+    """The diagonal that took the probe to ``state``."""
+    return state.permuted(("A", "B")).amps / _PROBE.amps
 
 
-def _front_end(kernel: _Kernel, inputs: np.ndarray,
-               u_x: np.ndarray) -> np.ndarray:
-    """Steps 1-3 for a block: returns the (n, 4, 2) register over
-    ((A, B), b), rows normalized, ready for the POVM."""
-    n = inputs.shape[0]
-    reg = np.zeros((n, 16), dtype=complex)
-    reg[:, _A0B0] = kernel.cos_half * inputs
-    reg[:, _A1B1] = 1j * kernel.sin_half * inputs
-    reg[:, 12:16] *= -1.0                             # controlled phase (a, A)
-    plus = (reg[:, :8] + reg[:, 8:]) * _INV_SQRT2     # <+|_a and <-|_a
-    minus = (reg[:, :8] - reg[:, 8:]) * _INV_SQRT2
-    p_plus = np.einsum("ni,ni->n", plus.conj(), plus).real
-    p_minus = np.einsum("ni,ni->n", minus.conj(), minus).real
-    take_plus = u_x < p_plus / (p_plus + p_minus)
-    reg8 = np.where(take_plus[:, None], plus, minus)
-    reg8 /= np.sqrt(np.where(take_plus, p_plus, p_minus))[:, None]
-    reg8[np.ix_(~take_plus, _B_ODD)] *= -1.0          # Bob's sz after a "-1"
-    reg8[:, _BB_PHASE] *= -1.0                        # controlled phase (b, B)
-    return reg8.reshape(n, 4, 2)
+def _b_edge(params: ProtocolParams, e3: np.ndarray) -> float:
+    """Threshold of the failure ``b`` outcome: the weight of ``b = 0``.
 
-
-def _pick_branches(p1: np.ndarray, p2: np.ndarray,
-                   u: np.ndarray) -> np.ndarray:
-    """Vectorized branch selection with the same folding guard as the
-    single-run path: a failure element below ``BRANCH_MIN_PROB`` is never
-    sampled; its round-off tail goes to the heavier success branch."""
-    p3 = 1.0 - p1 - p2
-    branch = np.full(p1.shape, 3, dtype=np.int64)
-    branch[u < p1 + p2] = 2
-    branch[u < p1] = 1
-    tail = (branch == 3) & (p3 < BRANCH_MIN_PROB)
-    branch[tail & (p2 >= BRANCH_MIN_PROB)] = 2
-    branch[tail & (p2 < BRANCH_MIN_PROB)] = 1
-    return branch
-
-
-def _success_states(kernel: _Kernel, reg: np.ndarray, branch: np.ndarray,
-                    out: np.ndarray) -> None:
-    """Fill ``out`` rows for branches 1 and 2 with the corrected final
-    (A, B) states."""
-    for k, arm in ((1, kernel.arm1), (2, kernel.arm2)):
-        sel = branch == k
-        if not sel.any():
-            continue
-        red = (reg[sel] @ arm.kraus.T) @ arm.b_state
-        red /= np.linalg.norm(red, axis=1, keepdims=True)
-        if k == 2:
-            red = red * _D4                 # both parties' sz corrections
-        out[sel] = red
-
-
-def _simulate_chunk(kernel: _Kernel, inputs: np.ndarray, draws: np.ndarray,
-                    deterministic: bool
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One block of trials.
-
-    Returns ``(branch, fidelity, bell_pairs)`` per trial.  Fidelity is
-    against the target gate applied to the input; it is NaN for a
-    branch-3 trial left unrecovered (non-deterministic mode).
+    Row ``j`` of the failure Kraus operator leaves weight
+    ``c^2 r_j0^2 + s^2 r_j1^2`` on ``b = j``, whatever the data state.
     """
-    n = inputs.shape[0]
-    reg = _front_end(kernel, inputs, draws[:, 0])
-    p1 = np.einsum("nij,jk,nik->n", reg.conj(), kernel.arm1.element, reg).real
-    p2 = np.einsum("nij,jk,nik->n", reg.conj(), kernel.arm2.element, reg).real
-    branch = _pick_branches(p1, p2, draws[:, 1])
+    r = psd_sqrt2(e3).real
+    pb = ((params.cos_half_alpha * r[:, 0]) ** 2
+          + (params.sin_half_alpha * r[:, 1]) ** 2)
+    return float(pb[0] / (pb[0] + pb[1]))
 
-    final = np.zeros((n, 4), dtype=complex)
-    bell = np.zeros(n, dtype=np.int64)
-    counted = np.ones(n, dtype=bool)
-    _success_states(kernel, reg, branch, final)
 
-    sel3 = branch == 3
-    if sel3.any():
-        m3 = reg[sel3] @ kernel.kraus3.T
-        m3 /= np.linalg.norm(m3.reshape(-1, 8), axis=1).reshape(-1, 1, 1)
-        pb0 = np.einsum("ni,ni->n", m3[:, :, 0].conj(), m3[:, :, 0]).real
-        pb1 = np.einsum("ni,ni->n", m3[:, :, 1].conj(), m3[:, :, 1]).real
-        j = np.where(draws[sel3, 2] < pb0 / (pb0 + pb1), 0, 1)
-        cond = m3[np.arange(m3.shape[0]), :, j]
-        cond /= np.linalg.norm(cond, axis=1, keepdims=True)
-        if deterministic:
-            idx3 = np.flatnonzero(sel3)
-            for outcome in (0, 1):
-                grp = j == outcome
-                if not grp.any():
+def _recovery_table(theta_remaining: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals and Bell pairs of the recovery, per (sign, branch) bin."""
+    phases = np.full((2, 3, 4), np.nan, dtype=complex)
+    bell = np.zeros((2, 3), dtype=np.int64)
+    for i, (_, u_x) in enumerate(_bins(_SIGN_EDGES)):
+        for k, (_, u_povm) in enumerate(_bins(_RECOVERY_EDGES)):
+            if u_povm is not None:
+                state, _, bell[i, k] = recover_with_bell(
+                    _PROBE, theta_remaining, u_x, u_povm)
+                phases[i, k] = _reading(state)
+    return phases, bell
+
+
+@dataclass(frozen=True, eq=False)
+class _TranscriptTable:
+    """Every transcript of one attempt, one leaf per cell of deviate bins.
+
+    Draw column ``k`` is cut into bins at ``edges[k]``; a trial's leaf is
+    the row-major index of its bins.  ``overlap`` holds each leaf's
+    diagonal times the conjugate target diagonal, NaN where a failure
+    is left unrecovered.
+    """
+
+    edges: tuple[np.ndarray, ...]
+    branch: np.ndarray
+    bell: np.ndarray
+    overlap: np.ndarray
+
+
+def _transcript_table(params: ProtocolParams, weights: PovmWeights,
+                      deterministic: bool) -> _TranscriptTable:
+    """Run the reference steps once per leaf on the probe.
+
+    Prefixes are shared: steps 1-3 run once per sign and the POVM once
+    per branch bin, and each recovery sub-table, which depends only on
+    the ``b`` outcome, is built once and multiplied into its leaves.  A
+    column a transcript does not consult repeats the leaf along its axis.
+    Raises ``ValueError`` for a non-positive POVM (from the POVM step),
+    and when a leaf's probability or diagonal breaks the premise.
+    """
+    povm = build_povm(params, weights)
+    edges = [_SIGN_EDGES, (weights.x, weights.x + weights.y)]
+    if deterministic:
+        # column 2 is cut at the b threshold once a branch bin fails
+        edges += [(1.0,), _SIGN_EDGES, _RECOVERY_EDGES]
+    shape = tuple(len(e) + 1 for e in edges)
+    phases = np.full(shape + (4,), np.nan, dtype=complex)
+    branch = np.zeros(shape, dtype=np.int64)
+    bell = np.zeros(shape, dtype=np.int64)
+    b_bins = None
+    recovery: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    start = initial_register(params.alpha, _PROBE)
+    for i, (_, u_x) in enumerate(_bins(edges[0])):
+        reg, message = step1_alice(start, u_x)
+        reg = step3_bob(step2_bob(reg, message))
+        for k, (_, u_povm) in enumerate(_bins(edges[1])):
+            if u_povm is None:
+                continue
+            got, post = step4_bob_povm(reg, povm, u_povm)
+            branch[i, k] = got
+            if got != 3:
+                phases[i, k] = _reading(finish_success(got, post)[0])
+                continue
+            if not deterministic:
+                continue
+            if b_bins is None:
+                edges[2] = (_b_edge(params, povm.e3),)
+                b_bins = list(_bins(edges[2]))
+            for j, (_, u_b) in enumerate(b_bins):
+                if u_b is None:
                     continue
-                rows = idx3[grp]
-                rec = kernel.recovery[outcome]
-                if rec is None:               # nothing left to rotate
-                    final[rows] = cond[grp]
-                    continue
-                final[rows] = _recover_block(rec, cond[grp],
-                                             draws[rows, 3], draws[rows, 4])
-                bell[rows] = 1
-        else:
-            counted[sel3] = False
-            final[sel3] = cond                # residual-rotated data state
+                residual, rest = failure_residual(post, povm, u_b)
+                if residual.b_outcome not in recovery:
+                    recovery[residual.b_outcome] = _recovery_table(
+                        wrap_angle(params.theta - residual.theta_f))
+                rec_phases, bell[i, k, j] = recovery[residual.b_outcome]
+                phases[i, k, j] = _reading(rest) * rec_phases
 
-    fid = np.full(n, np.nan)
-    target = inputs * kernel.target_diag
-    overlap = np.einsum("ni,ni->n", target[counted].conj(), final[counted])
-    fid[counted] = np.abs(overlap) ** 2
-    return branch, fid, bell
+    # Bin widths are clipped at 0, so each column's widths sum to at least
+    # 1, with equality only for ordered edges in [0, 1].  Leaf
+    # probabilities summing to 1 are therefore also finite and in [0, 1].
+    prob = reduce(np.multiply.outer,
+                  [np.array([w for w, _ in _bins(e)]) for e in edges])
+    if not abs(prob.sum() - 1.0) <= _SUM_TOL:
+        raise ValueError(
+            f"transcript probabilities at {params} with {weights} are not "
+            f"a distribution")
+    live = (prob > 0.0) & ((branch != 3) | deterministic)
+    modulus = np.abs(phases[live])
+    if not (np.isfinite(modulus).all()
+            and np.abs(modulus - 1.0).max(initial=0.0) <= _UNIT_TOL):
+        raise ValueError(
+            f"a transcript at {params} with {weights} does not act as a "
+            f"diagonal unitary on the data")
+    target = controlled_rotation(params.theta).diagonal()
+    return _TranscriptTable(
+        edges=tuple(np.array(e, dtype=float) for e in edges),
+        branch=branch.reshape(-1), bell=bell.reshape(-1),
+        overlap=(target.conj() * phases).reshape(-1, 4))
 
 
-def _recover_block(kernel: _Kernel, states: np.ndarray, u_x: np.ndarray,
-                   u_povm: np.ndarray) -> np.ndarray:
-    """Complete the missing rotation on a Bell pair, where the POVM is
-    projective and both branches succeed."""
-    reg = _front_end(kernel, states, u_x)
-    p1 = np.einsum("nij,jk,nik->n", reg.conj(), kernel.arm1.element, reg).real
-    p2 = np.einsum("nij,jk,nik->n", reg.conj(), kernel.arm2.element, reg).real
-    branch = _pick_branches(p1, p2, u_povm)
-    if (branch == 3).any():
-        raise RuntimeError("recovery POVM produced a failure branch at a "
-                           "maximally entangled resource")
-    out = np.zeros_like(states)
-    _success_states(kernel, reg, branch, out)
-    return out
+def _simulate_chunk(table: _TranscriptTable, weight: np.ndarray,
+                    draws: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One block of trials on inputs with basis weights ``weight``.
+
+    Returns ``(branch, fidelity, bell_pairs)`` per trial.  A leaf with
+    diagonal ``d`` maps an input ``phi`` to ``d * phi``, so its fidelity
+    against the target applied to ``phi`` is
+    ``|sum_k |phi_k|^2 conj(target_k) d_k|^2``.  It is NaN for a branch-3
+    trial left unrecovered (non-deterministic mode).
+    """
+    leaf = np.zeros(draws.shape[0], dtype=np.intp)
+    for col, edges in enumerate(table.edges):
+        u = draws[:, col]
+        leaf *= edges.size + 1
+        for edge in edges:
+            leaf += u >= edge
+    overlap = np.einsum("nk,nk->n", weight, table.overlap[leaf])
+    return (table.branch[leaf], overlap.real ** 2 + overlap.imag ** 2,
+            table.bell[leaf])
 
 
 @dataclass(frozen=True)
@@ -293,21 +286,19 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
         raise TypeError(f"trials must be an integer, got {type(trials).__name__}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
-    if weights is None:
-        weights = optimum(params).weights
-    kernel = _make_kernel(params, weights, with_recovery=deterministic)
-
-    fixed = None
+    fixed_weight = None
     if input_state is not None:
         if set(input_state.qubits) != {"A", "B"}:
             raise ValueError(
                 f"input must live on qubits A and B, got {input_state.qubits}")
         if abs(input_state.norm() - 1.0) > 1e-9:
             raise ValueError("input state must be normalized")
-        fixed = input_state.permuted(("A", "B")).amps
-
-    dec_rng = _channel_rng(seed, _DECISION_CHANNEL)
-    in_rng = _channel_rng(seed, _INPUT_CHANNEL)
+        fixed_weight = np.abs(input_state.permuted(("A", "B")).amps) ** 2
+    dec_rng = _rng_from_seed(seed, _DECISION_CHANNEL)
+    in_rng = _rng_from_seed(seed, _INPUT_CHANNEL)
+    if weights is None:
+        weights = optimum(params).weights
+    table = _transcript_table(params, weights, deterministic)
 
     counts = np.zeros(3, dtype=np.int64)
     fid_sum = 0.0
@@ -317,12 +308,11 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
     while done < trials:
         n = min(_CHUNK, trials - done)
         draws = dec_rng.random((n, 5))
-        if fixed is None:
-            inputs = _haar_block(in_rng, n)
+        if fixed_weight is None:
+            weight = _haar_weights(in_rng, n)
         else:
-            inputs = np.broadcast_to(fixed, (n, 4))
-        branch, fid, bell = _simulate_chunk(kernel, inputs, draws,
-                                            deterministic)
+            weight = np.broadcast_to(fixed_weight, (n, 4))
+        branch, fid, bell = _simulate_chunk(table, weight, draws)
         counts += np.bincount(branch, minlength=4)[1:4]
         have = ~np.isnan(fid)
         fid_sum += float(fid[have].sum())

@@ -186,11 +186,13 @@ def build_povm(params: ProtocolParams, weights: PovmWeights) -> PovmSet:
     """Assemble ``E1 = x v1 v1^T``, ``E2 = y v2 v2^T`` and the remainder.
 
     Positivity of ``E3`` is certified directly from its eigenvalues with
-    slack ``EIG_TOL``; ``E1`` and ``E2`` are PSD by construction.
+    slack ``EIG_TOL``; ``E1`` and ``E2`` are PSD by construction.  A zero
+    weight gives an exact zero element: at a tiny ``alpha`` the vectors
+    overflow, and ``0 * inf`` would be NaN.
     """
     v1, v2 = povm_vectors(params)
-    e1 = weights.x * np.outer(v1, v1)
-    e2 = weights.y * np.outer(v2, v2)
+    e1 = weights.x * np.outer(v1, v1) if weights.x else np.zeros((2, 2))
+    e2 = weights.y * np.outer(v2, v2) if weights.y else np.zeros((2, 2))
     e3 = np.eye(2) - e1 - e2
     min_eig = float(np.linalg.eigvalsh(e3)[0])
     for m in (e1, e2, e3):

@@ -207,7 +207,8 @@ def step4_bob_povm(register: StateVector, povm: PovmSet,
     """
     if not povm.positive:
         raise ValueError(
-            f"POVM is not positive (min eigenvalue {povm.min_eig_e3:.3e})")
+            f"weights ({povm.weights.x}, {povm.weights.y}) give a non-positive "
+            f"POVM (min eigenvalue {povm.min_eig_e3:.3e})")
     if not 0.0 <= u < 1.0:
         raise ValueError(f"uniform deviate {u} outside [0, 1)")
     p1 = qmath.expectation(register, povm.e1, "b")
@@ -228,15 +229,11 @@ def step4_bob_povm(register: StateVector, povm: PovmSet,
     reg = qmath.apply_gate(register, kraus, ("b",)).normalized()
     if branch == 3:
         return branch, reg
-    v1, v2 = _success_b_states(povm)
-    reg = qmath.project_out(reg, "b", v1 if branch == 1 else v2)
+    # the b state left by a rank-one success outcome; the other branch's
+    # vector is never normalized, as it may overflow at a tiny alpha
+    v = povm_vectors(povm.params)[branch - 1]
+    reg = qmath.project_out(reg, "b", v / np.linalg.norm(v))
     return branch, reg
-
-
-def _success_b_states(povm: PovmSet) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized b states after the rank-one success outcomes."""
-    v1, v2 = povm_vectors(povm.params)
-    return v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)
 
 
 def finish_success(branch: int, register: StateVector
@@ -300,13 +297,18 @@ def recover_with_bell(state: StateVector, theta_remaining: float,
     return reg, [xmsg, *messages], 1
 
 
-def _rng_from_seed(seed: int) -> np.random.Generator:
-    """Counter-based generator keyed directly by the seed."""
+def _rng_from_seed(seed: int, channel: int = 0) -> np.random.Generator:
+    """Counter-based generator for one purpose-specific stream of ``seed``.
+
+    The channel fills the high 64 bits of the Philox key.  Channel 0 is
+    the plain keying :func:`run_once` uses; the batch engine draws from
+    other channels so its streams never overlap a single run's.
+    """
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    return np.random.Generator(np.random.Philox(key=int(seed) + (channel << 64)))
 
 
 def _execute(params: ProtocolParams, weights: PovmWeights,
@@ -319,10 +321,6 @@ def _execute(params: ProtocolParams, weights: PovmWeights,
     3 recovery x outcome, 4 recovery branch.
     """
     povm = build_povm(params, weights)
-    if not povm.positive:
-        raise ValueError(
-            f"weights ({weights.x}, {weights.y}) give a non-positive POVM "
-            f"(min eigenvalue {povm.min_eig_e3:.3e})")
     reg = initial_register(params.alpha, input_state)
     reg, xmsg = step1_alice(reg, draws[0])
     transcript: list[ClassicalMessage] = [xmsg]

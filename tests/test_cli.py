@@ -216,6 +216,31 @@ def test_simulate_rejects_bad_input_string(capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_simulate_vanishing_resource(capsys, deterministic):
+    """At alpha = 1e-300 the optimal weights are exact zeros, so every
+    attempt fails and only a Bell pair completes the gate.  The run
+    reports that with finite numbers; any RuntimeWarning fails it."""
+    argv = ["simulate", "--theta", "0.25pi", "--alpha", "1e-300",
+            "--trials", "500", "--seed", "3", "--json"]
+    if deterministic:
+        argv.append("--deterministic")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["params"]["x"] == 0.0 and payload["params"]["y"] == 0.0
+    assert payload["branch_counts"] == [0, 0, 500]
+    assert payload["analytic_p"] == 0.0 and payload["z_score"] == 0.0
+    if deterministic:
+        assert payload["mean_fidelity"] == pytest.approx(1.0, abs=1e-12)
+        assert payload["mean_bell_pairs"] == 1.0
+        assert payload["mean_ebits"] == 1.0
+    else:
+        assert payload["mean_fidelity"] is None
+        assert payload["mean_bell_pairs"] == 0.0
+        assert payload["mean_ebits"] == 0.0
+
+
 def test_simulate_statistical_alarm_exits_3(capsys, monkeypatch):
     real = cli.monte_carlo
 

@@ -227,6 +227,19 @@ def test_success_branches_implement_the_gate():
             assert msgs == ([] if branch == 1 else [PovmResult(2)])
 
 
+def test_success_branch_at_a_vanishing_resource_angle():
+    """At theta = 1e-300, alpha = 1e-200 the unused branch-2 vector
+    overflows; branch 1 must still finish without a RuntimeWarning."""
+    params = ProtocolParams(1e-300, 1e-200)
+    povm = build_povm(params, optimum(params).weights)
+    phi = random_input(5)
+    reg, _ = run_steps_1_to_3(params, phi, 0.37)
+    branch, out = step4_bob_povm(reg, povm, 0.5)
+    assert branch == 1
+    target = apply_gate(phi, controlled_rotation(params.theta), ("A", "B"))
+    assert fidelity(target, finish_success(branch, out)[0]) >= 1 - 1e-12
+
+
 def test_finish_success_rejects_failure_branch():
     with pytest.raises(ValueError):
         finish_success(3, random_input(0))
