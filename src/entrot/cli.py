@@ -22,14 +22,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import verify as verify_mod
-from .entanglement import average_cost, threshold_theta
+from .entanglement import _costs, threshold_theta
 from .montecarlo import monte_carlo
-from .povm import (ProtocolParams, det_e3, discriminant, optimum, tr_e3)
+from .povm import (_CASES, ProtocolParams, det_e3, discriminant, optimum,
+                   tr_e3)
 from .qmath import StateVector
 
 __all__ = ["main"]
@@ -64,15 +64,6 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(
             f"grid count must be at least 2, got {count}")
     return start, stop, count
-
-
-@dataclass(frozen=True)
-class SweepPlan:
-    """A rectangular parameter grid and how to serialize it."""
-
-    theta_grid: tuple[float, float, int]
-    alpha_grid: tuple[float, float, int]
-    output_format: str  # "csv" | "json"
 
 
 def _fmt(value: float) -> str:
@@ -128,41 +119,30 @@ def _cmd_pmax(args: argparse.Namespace) -> int:
     return 0
 
 
+_SWEEP_KEYS = ("theta_rad", "alpha_rad", "case", "x", "y", "p_max", "e_alpha",
+               "avg_cost")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    plan = SweepPlan(theta_grid=args.theta_grid, alpha_grid=args.alpha_grid,
-                     output_format="json" if args.json else "csv")
-    thetas = np.linspace(*plan.theta_grid)
-    alphas = np.linspace(*plan.alpha_grid)
-    rows = []
-    for theta in thetas:
-        for alpha in alphas:
-            params = ProtocolParams(float(theta), float(alpha))
-            best = optimum(params)
-            rep = average_cost(params)
-            rows.append({
-                "theta_rad": params.theta,
-                "alpha_rad": params.alpha,
-                "case": best.case.value,
-                "x": best.x,
-                "y": best.y,
-                "p_max": best.p_max,
-                "e_alpha": rep.entropy,
-                "avg_cost": rep.avg_cost,
-            })
-    if plan.output_format == "json":
+    thetas = np.linspace(*args.theta_grid)
+    alphas = np.linspace(*args.alpha_grid)
+    for theta in thetas.tolist():
+        for alpha in alphas.tolist():
+            ProtocolParams(theta, alpha)  # raises at the first invalid point
+    case, *values = _costs(thetas[:, None], alphas)
+    labels = np.array([label.value for label in _CASES])[case]
+    columns = np.broadcast_arrays(thetas[:, None], alphas, labels, *values)
+    rows = list(zip(*(c.ravel().tolist() for c in columns)))
+    if args.json:
         text = json.dumps(_round12({
-            "theta_grid": list(plan.theta_grid),
-            "alpha_grid": list(plan.alpha_grid),
-            "rows": rows,
+            "theta_grid": list(args.theta_grid),
+            "alpha_grid": list(args.alpha_grid),
+            "rows": [dict(zip(_SWEEP_KEYS, row)) for row in rows],
         }), indent=2) + "\n"
     else:
-        header = "theta_rad,alpha_rad,case,x,y,p_max,e_alpha,avg_cost"
-        lines = [header]
-        for r in rows:
-            lines.append(",".join([
-                _fmt(r["theta_rad"]), _fmt(r["alpha_rad"]), r["case"],
-                _fmt(r["x"]), _fmt(r["y"]), _fmt(r["p_max"]),
-                _fmt(r["e_alpha"]), _fmt(r["avg_cost"])]))
+        lines = [",".join(_SWEEP_KEYS)]
+        lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in row)
+                  for row in rows]
         text = "\n".join(lines) + "\n"
     if args.out in (None, "-"):
         sys.stdout.write(text)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import CASE_BAND, HALF_PI, ProtocolParams, optimum
+from .povm import HALF_PI, ProtocolParams, _closed_form, _where, _xp
 
 __all__ = [
     "EntanglementReport",
@@ -39,13 +39,28 @@ BREAK_EVEN_BAND = 1e-12
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi ~ 0.618
 
 
+def _entropy(p):
+    """Binary entropy in bits of a float or an array ``p`` in [0, 1].
+
+    ``0 log 0`` is 0: a zero argument reaches the log as 1, and the
+    leading ``0.0 -`` makes that result +0.0 rather than -0.0.
+    """
+    q = 1.0 - p
+    return (0.0 - p * np.log2(_where(p > 0.0, p, 1.0))
+            - q * np.log2(_where(q > 0.0, q, 1.0)))
+
+
+def _resource_entropy(alpha):
+    """Entanglement of the resource pair at a float or an array ``alpha``."""
+    c = _xp(alpha).cos(alpha / 2.0)
+    return _entropy(c * c)
+
+
 def binary_entropy(p: float) -> float:
     """Shannon entropy of a bit in base 2, with ``0 log 0 := 0``."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p!r}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    return float(_entropy(p))
 
 
 def resource_entropy(alpha: float) -> float:
@@ -57,7 +72,7 @@ def resource_entropy(alpha: float) -> float:
     """
     if not 0.0 < alpha <= HALF_PI:
         raise ValueError(f"alpha must lie in (0, pi/2], got {alpha!r}")
-    return binary_entropy(math.cos(alpha / 2.0) ** 2)
+    return float(_resource_entropy(alpha))
 
 
 @dataclass(frozen=True)
@@ -71,28 +86,20 @@ class EntanglementReport:
     avg_cost: float
 
 
+def _costs(theta, alpha):
+    """``(case, x, y, p_max, entropy, avg_cost)`` at float or array angles
+    (broadcast); the caller validates them, as for ``_closed_form``."""
+    case, x, y, _, _ = _closed_form(theta, alpha)
+    p = x + y
+    e = _resource_entropy(alpha)
+    return case, x, y, p, e, 1.0 - p + e
+
+
 def average_cost(params: ProtocolParams) -> EntanglementReport:
     """Expected ebits per deterministically completed gate."""
-    p = optimum(params).p_max
-    e = resource_entropy(params.alpha)
+    _, _, _, p, e, cost = _costs(params.theta, params.alpha)
     return EntanglementReport(theta=params.theta, alpha=params.alpha,
-                              p_max=p, entropy=e, avg_cost=1.0 - p + e)
-
-
-def _cost_grid(theta: float, alphas: np.ndarray) -> np.ndarray:
-    """Vectorized average cost over many resource angles."""
-    ca = np.cos(alphas)
-    ca[np.abs(ca) < 1e-15] = 0.0  # same snap as the scalar closed forms
-    ct = math.cos(theta)
-    ct = 0.0 if abs(ct) < 1e-15 else ct
-    st = math.sin(theta)
-    case_ii = ca * (st + ct) - 1.0 > CASE_BAND
-    p = np.where(case_ii,
-                 (1.0 - ca * ca) / (2.0 * (1.0 - ct * ca)),
-                 1.0 - st * ca)
-    c2 = np.cos(alphas / 2.0) ** 2
-    entropy = -c2 * np.log2(c2) - (1.0 - c2) * np.log2(1.0 - c2)
-    return 1.0 - p + entropy
+                              p_max=p, entropy=float(e), avg_cost=float(cost))
 
 
 def min_cost_over_alpha(theta: float, tol: float = 1e-6) -> tuple[float, float]:
@@ -109,16 +116,16 @@ def min_cost_over_alpha(theta: float, tol: float = 1e-6) -> tuple[float, float]:
         raise ValueError(f"tol must lie in [1e-8, 1e-3], got {tol!r}")
     n = 1000
     alphas = np.linspace(HALF_PI / n, HALF_PI, n)
-    costs = _cost_grid(theta, alphas)
+    costs = _costs(theta, alphas)[5]
     i = int(np.argmin(costs))
     best_alpha = float(alphas[i])
-    best_cost = float(average_cost(ProtocolParams(theta, best_alpha)).avg_cost)
+    best_cost = float(costs[i])
 
     lo = float(alphas[max(i - 1, 0)])
     hi = float(alphas[min(i + 1, n - 1)])
 
     def cost(a: float) -> float:
-        return average_cost(ProtocolParams(theta, a)).avg_cost
+        return _costs(theta, a)[5]
 
     # Golden-section: keeps a shrinking bracket around the interior
     # minimum; one new evaluation per iteration.

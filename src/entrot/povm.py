@@ -49,16 +49,37 @@ CASE_BAND = 1e-12
 EIG_TOL = 1e-12
 
 
-def _cos(angle: float) -> float:
-    """Cosine with values within 1e-15 of zero snapped to exactly 0.0.
+def _xp(value):
+    """``numpy`` for an array, ``math`` for a float.
+
+    The two give the same bits for ``cos`` and ``sin`` here, and ``math``
+    spares a float the cost of a numpy call.
+    """
+    return np if isinstance(value, np.ndarray) else math
+
+
+def _where(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``: elementwise on arrays.
+
+    Both sides are evaluated first, on floats as on arrays, so neither
+    may raise or warn anywhere in the domain.
+    """
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _cos(angle):
+    """Cosine, of a float or an array, with values within 1e-15 of zero
+    snapped to exactly 0.0.
 
     ``math.cos(math.pi / 2)`` is ~6e-17 rather than 0, which would make
     quantities that are exactly 1 at a maximally entangled resource come
     out one ulp short.  The snap window is far below any angle spacing
     used anywhere, so it only affects the intended exact case.
     """
-    c = math.cos(angle)
-    return 0.0 if abs(c) < 1e-15 else c
+    c = _xp(angle).cos(angle)
+    return _where(abs(c) < 1e-15, 0.0, c)
 
 
 @dataclass(frozen=True)
@@ -229,6 +250,37 @@ def det_e3(params: ProtocolParams, weights: PovmWeights) -> float:
     return 4.0 / sa2 * ((weights.x - a) * (weights.y - b) - d)
 
 
+def _weight(w):
+    """A weight that round-off put a hair below 0 is 0."""
+    return _where(w < 0.0, 0.0, w)
+
+
+#: Case labels by the case index ``_closed_form`` returns: the number of
+#: band edges (``-CASE_BAND``, ``+CASE_BAND``) the crossover lies above.
+_CASES = (CaseLabel.CASE_I, CaseLabel.BOUNDARY, CaseLabel.CASE_II)
+
+
+def _closed_form(theta, alpha):
+    """The two-regime optimum at float or array angles (broadcast).
+
+    Returns ``(case, x, y, num, den)``: ``case`` indexes ``_CASES`` and
+    ``num / den`` is the discriminant.  The angles are not
+    validated here: callers pass only points that :class:`ProtocolParams`
+    accepts.
+    """
+    ca, ct, st = _cos(alpha), _cos(theta), _xp(theta).sin(theta)
+    crossover = ca * (st + ct) - 1.0
+    den = 2.0 * (1.0 - ct * ca)
+    case_ii = crossover > CASE_BAND
+    case = 1 * (crossover > -CASE_BAND) + 1 * case_ii
+    # On the crossover curve the second case I weight is an exact zero.
+    # Both sides are evaluated: divide by 1 where case II does not apply.
+    x = _where(case_ii, (1.0 - ca * ca) / _where(case_ii, den, 1.0),
+               _weight((1.0 + ct * ca - st * ca) / 2.0))
+    y = _where(case_ii, 0.0, _weight((1.0 - ct * ca - st * ca) / 2.0))
+    return case, x, y, ca * st * crossover, den
+
+
 def discriminant(params: ProtocolParams) -> float:
     """Decides which closed-form case is optimal.
 
@@ -238,10 +290,8 @@ def discriminant(params: ProtocolParams) -> float:
     optimum sits on the axis (case II).  The sign equals the sign of
     ``cos(alpha) (sin(theta) + cos(theta)) - 1``.
     """
-    ca = params.cos_alpha
-    ct = params.cos_theta
-    st = params.sin_theta
-    return ca * st * (ca * (st + ct) - 1.0) / (2.0 * (1.0 - ct * ca))
+    _, _, _, num, den = _closed_form(params.theta, params.alpha)
+    return num / den
 
 
 def optimum(params: ProtocolParams) -> OptimumResult:
@@ -254,19 +304,8 @@ def optimum(params: ProtocolParams) -> OptimumResult:
     crossover are labelled boundary and use the case I values (the two
     forms agree there).
     """
-    ca = params.cos_alpha
-    ct = params.cos_theta
-    st = params.sin_theta
-    crossover = ca * (st + ct) - 1.0
-    if crossover > CASE_BAND:
-        x = (1.0 - ca * ca) / (2.0 * (1.0 - ct * ca))
-        return OptimumResult(CaseLabel.CASE_II, x, 0.0, x)
-    label = CaseLabel.BOUNDARY if crossover > -CASE_BAND else CaseLabel.CASE_I
-    # On the crossover curve the second weight is an exact zero; round-off
-    # may land a hair below it, which would be rejected as a weight.
-    x = max((1.0 + ct * ca - st * ca) / 2.0, 0.0)
-    y = max((1.0 - ct * ca - st * ca) / 2.0, 0.0)
-    return OptimumResult(label, x, y, x + y)
+    case, x, y, _, _ = _closed_form(params.theta, params.alpha)
+    return OptimumResult(_CASES[case], x, y, x + y)
 
 
 def bell_conversion_prob(alpha: float) -> float:
