@@ -26,10 +26,10 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
-from .entanglement import _costs, threshold_theta
+from .entanglement import _alpha_terms, _costs, threshold_theta
 from .montecarlo import monte_carlo
-from .povm import (_CASES, ProtocolParams, det_e3, discriminant, optimum,
-                   tr_e3)
+from .povm import (_CASES, ProtocolParams, _case, _trig, det_e3,
+                   discriminant, optimum, tr_e3)
 from .qmath import StateVector
 
 __all__ = ["main"]
@@ -124,14 +124,17 @@ _SWEEP_KEYS = ("theta_rad", "alpha_rad", "case", "x", "y", "p_max", "e_alpha",
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    thetas = np.linspace(*args.theta_grid)
-    alphas = np.linspace(*args.alpha_grid)
+    with np.errstate(all="ignore"):  # an infinite span gives NaN, rejected below
+        thetas = np.linspace(*args.theta_grid)
+        alphas = np.linspace(*args.alpha_grid)
     for theta in thetas.tolist():
         for alpha in alphas.tolist():
             ProtocolParams(theta, alpha)  # raises at the first invalid point
-    case, *values = _costs(thetas[:, None], alphas)
-    labels = np.array([label.value for label in _CASES])[case]
-    columns = np.broadcast_arrays(thetas[:, None], alphas, labels, *values)
+    ca, sa, e = _alpha_terms(alphas)
+    cross, band, x, y, p, cost = _costs(*_trig(thetas[:, None]), ca, sa, e)
+    labels = np.array([label.value for label in _CASES])[_case(cross, band)]
+    columns = np.broadcast_arrays(thetas[:, None], alphas, labels, x, y, p,
+                                  e, cost)
     rows = list(zip(*(c.ravel().tolist() for c in columns)))
     if args.json:
         text = json.dumps(_round12({

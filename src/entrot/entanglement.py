@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import HALF_PI, ProtocolParams, _closed_form, _where, _xp
+from .povm import HALF_PI, ProtocolParams, _closed_form, _trig, _where, _xp
 
 __all__ = [
     "EntanglementReport",
@@ -86,20 +86,31 @@ class EntanglementReport:
     avg_cost: float
 
 
-def _costs(theta, alpha):
-    """``(case, x, y, p_max, entropy, avg_cost)`` at float or array angles
-    (broadcast); the caller validates them, as for ``_closed_form``."""
-    case, x, y, _, _ = _closed_form(theta, alpha)
+def _alpha_terms(alpha):
+    """``(cos(alpha), sin(alpha), resource entropy)`` for ``_costs``."""
+    return (*_trig(alpha), _resource_entropy(alpha))
+
+
+def _costs(ct, st, ca, sa, e):
+    """``(cross, band, x, y, p_max, avg_cost)`` from ``_trig(theta)`` and
+    ``_alpha_terms(alpha)``, as floats or arrays (broadcast); the caller
+    validates the angles, as for ``povm._closed_form``."""
+    cross, band, x, y, _ = _closed_form(ct, st, ca, sa)
     p = x + y
-    e = _resource_entropy(alpha)
-    return case, x, y, p, e, 1.0 - p + e
+    return cross, band, x, y, p, 1.0 - p + e
 
 
 def average_cost(params: ProtocolParams) -> EntanglementReport:
     """Expected ebits per deterministically completed gate."""
-    _, _, _, p, e, cost = _costs(params.theta, params.alpha)
+    ca, sa, e = _alpha_terms(params.alpha)
+    p, cost = _costs(*_trig(params.theta), ca, sa, e)[4:]
     return EntanglementReport(theta=params.theta, alpha=params.alpha,
                               p_max=p, entropy=float(e), avg_cost=float(cost))
+
+
+#: The resource angles ``min_cost_over_alpha`` scans, and their terms.
+_SCAN_ALPHAS = np.linspace(HALF_PI / 1000, HALF_PI, 1000)
+_SCAN_TERMS = _alpha_terms(_SCAN_ALPHAS)
 
 
 def min_cost_over_alpha(theta: float, tol: float = 1e-6) -> tuple[float, float]:
@@ -114,18 +125,18 @@ def min_cost_over_alpha(theta: float, tol: float = 1e-6) -> tuple[float, float]:
         raise ValueError(f"theta must lie in (0, pi/2], got {theta!r}")
     if not 1e-8 <= tol <= 1e-3:
         raise ValueError(f"tol must lie in [1e-8, 1e-3], got {tol!r}")
-    n = 1000
-    alphas = np.linspace(HALF_PI / n, HALF_PI, n)
-    costs = _costs(theta, alphas)[5]
+    trig = _trig(theta)
+    alphas = _SCAN_ALPHAS
+    costs = _costs(*trig, *_SCAN_TERMS)[5]
     i = int(np.argmin(costs))
     best_alpha = float(alphas[i])
     best_cost = float(costs[i])
 
     lo = float(alphas[max(i - 1, 0)])
-    hi = float(alphas[min(i + 1, n - 1)])
+    hi = float(alphas[min(i + 1, len(alphas) - 1)])
 
     def cost(a: float) -> float:
-        return _costs(theta, a)[5]
+        return _costs(*trig, *_alpha_terms(a))[5]
 
     # Golden-section: keeps a shrinking bracket around the interior
     # minimum; one new evaluation per iteration.

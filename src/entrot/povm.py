@@ -42,8 +42,14 @@ __all__ = [
 
 HALF_PI = math.pi / 2
 
-#: Width of the band around the case boundary treated as "boundary".
+#: Half-width of the band around the case boundary treated as
+#: "boundary", relative to the two terms whose difference is the crossover.
 CASE_BAND = 1e-12
+
+#: The smallest normal double.  Weights below it are set to 0, as their
+#: element ``x v v^T`` can overflow; resource angles below it are
+#: rejected, as their half-angle sine loses its precision or vanishes.
+_NORMAL_MIN = 2.2250738585072014e-308
 
 #: Positivity slack for eigenvalue-based feasibility checks.
 EIG_TOL = 1e-12
@@ -103,6 +109,9 @@ class ProtocolParams:
             raise ValueError("angles must be finite")
         if not 0.0 < self.alpha <= HALF_PI:
             raise ValueError(f"alpha must lie in (0, pi/2], got {self.alpha!r}")
+        if self.alpha < _NORMAL_MIN:
+            raise ValueError(f"alpha must be at least {_NORMAL_MIN!r}, the "
+                             f"smallest normal float, got {self.alpha!r}")
         if self.alpha == HALF_PI:
             if not -math.pi < self.theta <= math.pi:
                 raise ValueError(
@@ -250,35 +259,73 @@ def det_e3(params: ProtocolParams, weights: PovmWeights) -> float:
     return 4.0 / sa2 * ((weights.x - a) * (weights.y - b) - d)
 
 
-def _weight(w):
-    """A weight that round-off put a hair below 0 is 0."""
-    return _where(w < 0.0, 0.0, w)
-
-
-#: Case labels by the case index ``_closed_form`` returns: the number of
-#: band edges (``-CASE_BAND``, ``+CASE_BAND``) the crossover lies above.
+#: Case labels by ``_case``'s index: the number of band edges the
+#: crossover lies above.
 _CASES = (CaseLabel.CASE_I, CaseLabel.BOUNDARY, CaseLabel.CASE_II)
 
 
-def _closed_form(theta, alpha):
-    """The two-regime optimum at float or array angles (broadcast).
+def _case(cross, band):
+    """Index into ``_CASES`` from ``_closed_form``'s crossover and band."""
+    return 1 * (cross > -band) + (cross > band)
 
-    Returns ``(case, x, y, num, den)``: ``case`` indexes ``_CASES`` and
-    ``num / den`` is the discriminant.  The angles are not
-    validated here: callers pass only points that :class:`ProtocolParams`
-    accepts.
+
+def _trig(angle):
+    """``(cos, sin)`` of a float or an array, the cosine snapped."""
+    return _cos(angle), _xp(angle).sin(angle)
+
+
+def _twice_complement(ca, c, a, b, k):
+    """``2 (1 - cos(alpha) cos(phi)) k^2`` from ``ca = cos(alpha)``, ``c =
+    cos(phi)``, ``a = sin(alpha) k`` and ``b = sin(phi) k``, for a power
+    of two ``k``.
+
+    The difference cancels as both angles shrink, so where ``cos(alpha)
+    cos(phi) > 1/2`` it comes from the sum of squares ``sin(alpha)^2 +
+    sin(phi)^2 + (cos(alpha) - cos(phi))^2``.  Elsewhere it is taken as
+    written, which keeps a Bell resource (cosine 0) exact.
     """
-    ca, ct, st = _cos(alpha), _cos(theta), _xp(theta).sin(theta)
-    crossover = ca * (st + ct) - 1.0
-    den = 2.0 * (1.0 - ct * ca)
-    case_ii = crossover > CASE_BAND
-    case = 1 * (crossover > -CASE_BAND) + 1 * case_ii
-    # On the crossover curve the second case I weight is an exact zero.
-    # Both sides are evaluated: divide by 1 where case II does not apply.
-    x = _where(case_ii, (1.0 - ca * ca) / _where(case_ii, den, 1.0),
-               _weight((1.0 + ct * ca - st * ca) / 2.0))
-    y = _where(case_ii, 0.0, _weight((1.0 - ct * ca - st * ca) / 2.0))
-    return case, x, y, ca * st * crossover, den
+    cc = ca * c
+    e = (ca - c) * k
+    return _where(cc > 0.5, a * a + b * b + e * e, 2.0 * (1.0 - cc) * k * k)
+
+
+def _closed_form(ct, st, ca, sa):
+    """The two-regime optimum from ``_trig(theta) + _trig(alpha)``, as
+    floats or arrays (broadcast).
+
+    Returns ``(cross, band, x, y, den)``: ``_case(cross, band)`` is the
+    case and ``cos(alpha) sin(theta) cross / den`` the discriminant.  The
+    angles are not validated here: callers pass only points that
+    :class:`ProtocolParams` accepts.
+
+    With ``hi``/``lo`` the larger/smaller of ``cos(theta)`` and
+    ``sin(theta)``, the crossover is ``cos(alpha) lo - (1 - cos(alpha)
+    hi)``, which keeps its accuracy as ``alpha`` and either ``theta`` or
+    ``pi/2 - theta`` shrink.  Case I's ``y`` is minus half of it and ``x =
+    y + cos(theta) cos(alpha)``; case II's ``x`` is ``sin(alpha)^2 / (2 (1
+    - cos(theta) cos(alpha)))``.  ``cross``, ``band`` and ``den`` are
+    scaled by ``s^2``, ``s`` a power of two near ``1 / (sin(alpha) +
+    |sin(theta)|)``, so that squares of sines cannot underflow at tiny
+    angles; the scaling is exact.  Weights below ``_NORMAL_MIN`` are 0,
+    which also clears the negative ``y`` of case II and the round-off
+    below 0 on the crossover curve.
+    """
+    big = sa + abs(st)
+    xp = _xp(big)
+    s = xp.ldexp(1.0, -xp.frexp(big)[1])
+    a = sa * s
+    cos_first = ct > st
+    hi, lo = _where(cos_first, ct, st), _where(cos_first, st, ct)
+    lo_s = lo * s
+    far = _twice_complement(ca, hi, a, lo_s, s)  # 2 (1 - ca hi) s^2
+    den = far + 2.0 * ca * (hi - ct) * s * s  # 2 (1 - ca ct) s^2
+    near = ca * lo_s * s
+    cross = near - far / 2.0
+    band = CASE_BAND * (near + far / 2.0)
+    y = cross / -2.0 / s / s
+    x = _where(cross > band, a * a / den, y + ct * ca)
+    return (cross, band, _where(x < _NORMAL_MIN, 0.0, x),
+            _where(y < _NORMAL_MIN, 0.0, y), den)
 
 
 def discriminant(params: ProtocolParams) -> float:
@@ -290,8 +337,10 @@ def discriminant(params: ProtocolParams) -> float:
     optimum sits on the axis (case II).  The sign equals the sign of
     ``cos(alpha) (sin(theta) + cos(theta)) - 1``.
     """
-    _, _, _, num, den = _closed_form(params.theta, params.alpha)
-    return num / den
+    ct, st = _trig(params.theta)
+    ca, sa = _trig(params.alpha)
+    cross, _, _, _, den = _closed_form(ct, st, ca, sa)
+    return ca * st * (cross / den)
 
 
 def optimum(params: ProtocolParams) -> OptimumResult:
@@ -300,12 +349,13 @@ def optimum(params: ProtocolParams) -> OptimumResult:
     Case I applies when ``cos(alpha) (sin(theta) + cos(theta)) <= 1``:
     both weights are positive and ``p_max = 1 - sin(theta) cos(alpha)``.
     Case II applies otherwise: ``y = 0`` and ``x`` takes its largest
-    value permitted by positivity.  Points within ``CASE_BAND`` of the
-    crossover are labelled boundary and use the case I values (the two
-    forms agree there).
+    value permitted by positivity.  Points within ``CASE_BAND`` (relative)
+    of the crossover are labelled boundary and use the case I values (the
+    two forms agree there).
     """
-    case, x, y, _, _ = _closed_form(params.theta, params.alpha)
-    return OptimumResult(_CASES[case], x, y, x + y)
+    cross, band, x, y, _ = _closed_form(*_trig(params.theta),
+                                        *_trig(params.alpha))
+    return OptimumResult(_CASES[_case(cross, band)], x, y, x + y)
 
 
 def bell_conversion_prob(alpha: float) -> float:
@@ -315,7 +365,8 @@ def bell_conversion_prob(alpha: float) -> float:
     protocol has to beat, since a Bell pair implements the gate surely.
     """
     ProtocolParams(HALF_PI, alpha)  # reuse the domain check on alpha
-    return 1.0 - _cos(alpha)
+    ca, sa = _trig(alpha)
+    return _twice_complement(ca, 1.0, sa, 0.0, 1.0) / 2.0
 
 
 BOX = 1.2

@@ -7,11 +7,14 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 from entrot import cli, povm
 from entrot.cli import _parse_angle, _parse_grid, main
+from entrot.entanglement import average_cost
 
 THIRD_PI = "0.3333333333333333pi"
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -144,6 +147,57 @@ def test_sweep_unwritable_path_exits_1(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("theta_grid,alpha_grid", [
+    ("0.05pi:0.5pi:12", "1e-300:0.5pi:15"),  # both cases, Bell column
+    ("0.2pi:0.3pi:5", "0.1pi:0.5pi:41"),
+])
+def test_sweep_rows_equal_the_scalar_closed_forms(capsys, theta_grid,
+                                                  alpha_grid):
+    """Every CSV and JSON row is the scalar optimum and average cost at
+    that point, to the printed digit, and no RuntimeWarning is raised."""
+    argv = ["sweep", "--theta-grid", theta_grid, "--alpha-grid", alpha_grid]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, csv_out, _ = run_cli(capsys, *argv)
+        json_code, json_out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0 and json_code == 0
+    want = []
+    for theta in np.linspace(*_parse_grid(theta_grid)).tolist():
+        for alpha in np.linspace(*_parse_grid(alpha_grid)).tolist():
+            params = povm.ProtocolParams(theta, alpha)
+            best = povm.optimum(params)
+            report = average_cost(params)
+            want.append([f"{v:.12g}" for v in (theta, alpha)] + [best.case.value]
+                        + [f"{v:.12g}" for v in (best.x, best.y, best.p_max,
+                                                 report.entropy,
+                                                 report.avg_cost)])
+    assert {row[2] for row in want} >= {"I", "II"}
+    header, *rows = csv_out.splitlines()
+    assert [row.split(",") for row in rows] == want
+    keys = header.split(",")
+    got = [[row[k] if k == "case" else f"{row[k]:.12g}" for k in keys]
+           for row in json.loads(json_out)["rows"]]
+    assert got == want
+
+
+@pytest.mark.parametrize("grids,message", [
+    (("0:0.5pi:5", "0.1pi:0.4pi:3"), "theta must lie in (0, pi/2], got 0.0"),
+    (("0.1pi:0.4pi:3", "0:0.5pi:5"), "alpha must lie in (0, pi/2], got 0.0"),
+    (("0.1pi:0.7pi:5", "0.1pi:0.4pi:3"),
+     "theta must lie in (0, pi/2], got 1.7278759594743862"),
+])
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_sweep_domain_errors_write_nothing(tmp_path, capsys, grids, message,
+                                           fmt):
+    path = tmp_path / "table.csv"
+    code, out, err = run_cli(capsys, "sweep", "--theta-grid", grids[0],
+                             "--alpha-grid", grids[1], "--out", str(path),
+                             *fmt)
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
+    assert not path.exists()
+
+
 def test_sweep_json_structure(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--theta-grid", "0.2pi:0.3pi:2",
                            "--alpha-grid", "0.3pi:0.4pi:2", "--json")
@@ -239,6 +293,28 @@ def test_simulate_vanishing_resource(capsys, deterministic):
         assert payload["mean_fidelity"] is None
         assert payload["mean_bell_pairs"] == 0.0
         assert payload["mean_ebits"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["pmax", "--theta", "1e-12", "--alpha", "1e-12"],
+    ["simulate", "--theta", "1e-12", "--alpha", "1e-8"],
+    ["simulate", "--theta", "0.3", "--alpha", "1e-6"],
+    ["simulate", "--theta", "1e-13", "--alpha", "1e-13"],
+    ["simulate", "--theta", "2.4e-13", "--alpha", "1e-7"],
+    ["simulate", "--theta", "0.5pi", "--alpha", "1e-5", "--deterministic"],
+])
+def test_small_angles_give_finite_reports(capsys, argv):
+    """Where both angles are small, or the gate angle is pi/2 and the
+    resource angle small, ``1 - cos cos`` cancels; the closed forms avoid
+    that, so the optimum is finite and its measurement positive."""
+    if argv[0] == "simulate":
+        argv = argv + ["--trials", "500"]
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    values = [v for v in (*payload.values(), *payload.get("params", {}).values())
+              if isinstance(v, float)]
+    assert values and all(math.isfinite(v) for v in values)
 
 
 def test_simulate_statistical_alarm_exits_3(capsys, monkeypatch):

@@ -1,13 +1,16 @@
 """Measurement construction, positivity algebra and the optimal weights."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entrot import povm
+from entrot import cli, povm
+from entrot.entanglement import average_cost
 from entrot.povm import (CaseLabel, HALF_PI, PovmWeights, ProtocolParams,
                          bell_conversion_prob, build_povm, det_e3,
                          discriminant, optimum, pmax_oracle, povm_vectors,
@@ -22,6 +25,7 @@ angles = st.floats(0.05 * math.pi, 0.5 * math.pi)
     (0.0, 0.3), (-0.1, 0.3), (HALF_PI + 1e-9, 0.3),
     (0.3, 0.0), (0.3, -0.1), (0.3, HALF_PI + 1e-9),
     (math.nan, 0.3), (0.3, math.inf),
+    (0.3, 5e-324), (0.3, 1e-310),  # subnormal resource angles
 ])
 def test_params_reject_out_of_range(theta, alpha):
     with pytest.raises(ValueError):
@@ -221,6 +225,71 @@ def test_optimum_is_feasible_and_consistent(theta, alpha):
     s = build_povm(params, best.weights)
     assert s.positive
     assert abs(det_e3(params, best.weights)) < 1e-10
+
+
+def test_case_ii_weight_matches_a_50_digit_reference():
+    """Case II's ``x = sin(alpha)^2 / (2 (1 - cos(theta) cos(alpha)))``
+    keeps full precision down to angles of 1e-150, where the difference
+    ``1 - cos(theta) cos(alpha)`` rounds to 0 in double precision."""
+    mpmath = pytest.importorskip("mpmath")
+    grid = np.geomspace(1e-150, HALF_PI, 110).tolist()
+    worst, checked = 0.0, 0
+    with mpmath.workdps(50):
+        for theta in grid:
+            for alpha in grid:
+                t, a = mpmath.mpf(theta), mpmath.mpf(alpha)
+                if mpmath.cos(a) * (mpmath.sin(t) + mpmath.cos(t)) - 1 <= 1e-11:
+                    continue  # not clearly case II
+                exact = (mpmath.sin(a) ** 2
+                         / (2 * (1 - mpmath.cos(t) * mpmath.cos(a))))
+                best = optimum(ProtocolParams(theta, alpha))
+                assert best.case is CaseLabel.CASE_II
+                worst = max(worst, float(abs(best.x - exact) / exact))
+                checked += 1
+    assert checked >= 700
+    assert worst <= 1e-15
+
+
+@settings(max_examples=300)
+@given(st.floats(), st.floats())
+@example(1e-12, 1e-12)           # 1 - cos(theta) cos(alpha) rounds to 0
+@example(1e-12, 1e-8)
+@example(0.3, 1e-6)              # 1 - cos(alpha)^2 too large by ~1e-4
+@example(1e-13, 1e-13)           # crossover inside an absolute band
+@example(2.4e-13, 1e-7)          # crossover from ca (st + ct) - 1
+@example(HALF_PI, 1e-5)          # case I weights from 1 - sin(theta) cos(alpha)
+@example(1e-300, 1e-200)         # squares of sines underflow
+@example(5e-324, 1e-300)
+@example(0.3, 5e-324)
+@example(-0.0, HALF_PI)
+def test_closed_forms_are_total(theta, alpha):
+    """Over every float pair, the closed forms and a 2x2 sweep either
+    reject the point (ValueError, exit 2) or give finite numbers, and the
+    optimal weights make a positive measurement."""
+    try:
+        params = ProtocolParams(theta, alpha)
+    except ValueError:
+        params = None
+    if params is not None:
+        best = optimum(params)
+        report = average_cost(params)
+        assert all(math.isfinite(v) for v in (
+            best.x, best.y, best.p_max, report.entropy, report.avg_cost))
+        assert build_povm(params, best.weights).positive
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["sweep", f"--theta-grid={theta!r}:{theta!r}:2",
+                         f"--alpha-grid={alpha!r}:{alpha!r}:2"])
+    if params is None:
+        assert code == 2
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert code == 0 and err.getvalue() == ""
+        rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+        assert len(rows) == 4
+        for row in rows:
+            assert all(math.isfinite(float(v)) for v in row[:2] + row[3:])
 
 
 def test_monotone_in_both_angles():
