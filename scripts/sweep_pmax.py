@@ -11,13 +11,12 @@ Example:
 
 import argparse
 import collections
+import csv
 import math
 
 import numpy as np
 
 from entrot.cli import main as cli_main
-from entrot.entanglement import average_cost
-from entrot.povm import ProtocolParams, optimum
 
 
 def run(args: argparse.Namespace) -> int:
@@ -28,33 +27,27 @@ def run(args: argparse.Namespace) -> int:
     if code != 0:
         return code
 
-    cases = collections.Counter()
-    best = (0.0, None)
-    worst = (2.0, None)
-    cheap = (math.inf, None)
-    for theta in np.linspace(lo * math.pi, hi * math.pi, args.points):
-        for alpha in np.linspace(lo * math.pi, hi * math.pi, args.points):
-            params = ProtocolParams(float(theta), float(alpha))
-            opt = optimum(params)
-            cases[opt.case.value] += 1
-            if opt.p_max > best[0]:
-                best = (opt.p_max, params)
-            if opt.p_max < worst[0]:
-                worst = (opt.p_max, params)
-            cost = average_cost(params).avg_cost
-            if cost < cheap[0]:
-                cheap = (cost, params)
+    with open(args.out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cases = collections.Counter(row["case"] for row in rows)
+    p_max = [float(row["p_max"]) for row in rows]
+    cost = [float(row["avg_cost"]) for row in rows]
+    order = range(len(rows))
+    best = max(order, key=p_max.__getitem__)
+    worst = min(order, key=p_max.__getitem__)
+    cheap = min(order, key=cost.__getitem__)
+    # Rows run over theta, then alpha, on the same grid for both angles.
+    angles = np.linspace(lo * math.pi, hi * math.pi, args.points)
 
-    def spot(pair):
-        value, params = pair
-        return (f"{value:.6f} at theta={params.theta / math.pi:.3f}pi, "
-                f"alpha={params.alpha / math.pi:.3f}pi")
+    def spot(values, i):
+        theta, alpha = divmod(i, args.points)
+        return (f"{values[i]:.6f} at theta={angles[theta] / math.pi:.3f}pi, "
+                f"alpha={angles[alpha] / math.pi:.3f}pi")
 
-    total = sum(cases.values())
-    print(f"wrote {args.out} ({total} grid points)")
-    print(f"  best success probability : {spot(best)}")
-    print(f"  worst success probability: {spot(worst)}")
-    print(f"  cheapest average cost    : {spot(cheap)} ebits")
+    print(f"wrote {args.out} ({len(rows)} grid points)")
+    print(f"  best success probability : {spot(p_max, best)}")
+    print(f"  worst success probability: {spot(p_max, worst)}")
+    print(f"  cheapest average cost    : {spot(cost, cheap)} ebits")
     for label in sorted(cases):
         print(f"  optimum regime {label:<9}: {cases[label]} points")
     return 0

@@ -19,6 +19,14 @@ def test_sweep_script(tmp_path, checkout_env):
                       "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert "best success probability" in proc.stdout
+    assert proc.stdout.splitlines()[1:] == [
+        "  best success probability : 1.000000 at theta=0.050pi, alpha=0.500pi",
+        "  worst success probability: 0.012312 at theta=0.500pi, alpha=0.050pi",
+        "  cheapest average cost    : 0.478651 at theta=0.050pi, "
+        "alpha=0.163pi ebits",
+        "  optimum regime I        : 18 points",
+        "  optimum regime II       : 7 points",
+    ]
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "theta_rad,alpha_rad,case,x,y,p_max,e_alpha,avg_cost"
     assert len(lines) == 26
