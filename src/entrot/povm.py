@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +50,7 @@ CASE_BAND = 1e-12
 #: The smallest normal double.  Weights below it are set to 0, as their
 #: element ``x v v^T`` can overflow; resource angles below it are
 #: rejected, as their half-angle sine loses its precision or vanishes.
-_NORMAL_MIN = 2.2250738585072014e-308
+_NORMAL_MIN = sys.float_info.min
 
 #: Positivity slack for eigenvalue-based feasibility checks.
 EIG_TOL = 1e-12
