@@ -232,8 +232,39 @@ def build_povm(params: ProtocolParams, weights: PovmWeights) -> PovmSet:
                    min_eig_e3=min_eig, positive=min_eig >= -EIG_TOL)
 
 
+#: Below this resource angle :func:`tr_e3` and :func:`det_e3` leave their
+#: product forms: the determinant's cancels to an absolute error of about
+#: ``4 eps / sin(alpha)^2`` (1e-12 here), and both divide by squared sines
+#: that underflow to 0 below ``alpha`` ~ 3e-154.
+_SMALL_ALPHA = 2.0 ** -5
+
+
+def _success_invariants(params: ProtocolParams,
+                        weights: PovmWeights) -> tuple[float, float]:
+    """Trace and determinant of ``E1 + E2``, for :func:`tr_e3` and
+    :func:`det_e3` at small ``alpha``.
+
+    They come from ``u1 = sqrt(x) v1`` and ``u2 = sqrt(y) v2``: ``|u1|^2 +
+    |u2|^2`` and ``(u1 x u2)^2``, where ``|v1 x v2| = 1 / (cos(alpha/2)
+    sin(alpha/2))``.  Dividing sines rather than their squares keeps every
+    factor finite, so both are finite for any weights that make ``E3``
+    positive (then they lie in [0, 2] and [0, 1]).
+    """
+    c = params.cos_half_alpha
+    s = params.sin_half_alpha
+    ct = math.cos(params.theta / 2)
+    st = math.sin(params.theta / 2)
+    rx = math.sqrt(weights.x)
+    ry = math.sqrt(weights.y)
+    u = (rx * ct / c, rx * st / s, ry * st / c, ry * ct / s)
+    cross = rx * ry / c / s
+    return sum(v * v for v in u), cross * cross
+
+
 def tr_e3(params: ProtocolParams, weights: PovmWeights) -> float:
     """Closed-form trace of the failure element."""
+    if params.alpha < _SMALL_ALPHA:
+        return 2.0 - _success_invariants(params, weights)[0]
     c2 = params.cos_half_alpha ** 2
     s2 = params.sin_half_alpha ** 2
     ct2 = math.cos(params.theta / 2) ** 2
@@ -248,8 +279,12 @@ def det_e3(params: ProtocolParams, weights: PovmWeights) -> float:
 
     Written in the product form centred on the positivity hyperbola,
     which stays accurate right where the optimum sits (the determinant
-    vanishes there).
+    vanishes there).  Below ``_SMALL_ALPHA`` it is ``1 - tr(E1 + E2) +
+    det(E1 + E2)`` instead, accurate to a few ulps for positive ``E3``.
     """
+    if params.alpha < _SMALL_ALPHA:
+        trace, det = _success_invariants(params, weights)
+        return 1.0 - trace + det
     ca = params.cos_alpha
     ct = params.cos_theta
     st = params.sin_theta
@@ -373,24 +408,41 @@ def bell_conversion_prob(alpha: float) -> float:
 BOX = 1.2
 
 
+def _e3_min_eig(xs: np.ndarray, p1: np.ndarray, p2: np.ndarray):
+    """The smallest eigenvalue of ``E3 = I - x P1 - y P2`` at each ``x``
+    in ``xs``, as a function of ``ys``, read from the assembled matrix's
+    three entries.
+
+    ``E3`` is real symmetric, ``[[a, b], [b, d]]``, so its smaller
+    eigenvalue is ``(a + d)/2 - hypot((a - d)/2, b)``, accurate to a few
+    ulps of the largest entry.  The ``x`` side of each entry is formed once;
+    each call only subtracts ``y P2``.
+    """
+    a0 = 1.0 - xs * p1[0, 0]
+    b0 = -xs * p1[0, 1]
+    d0 = 1.0 - xs * p1[1, 1]
+
+    def min_eig(ys: np.ndarray) -> np.ndarray:
+        a = a0 - ys * p2[0, 0]
+        b = b0 - ys * p2[0, 1]
+        d = d0 - ys * p2[1, 1]
+        return 0.5 * (a + d) - np.hypot(0.5 * (a - d), b)
+
+    return min_eig
+
+
 def _best_feasible_y(xs: np.ndarray, p1: np.ndarray, p2: np.ndarray,
                      iters: int = 48) -> np.ndarray:
     """Largest feasible ``y`` in [0, BOX] for each ``x``, by bisection.
 
     Feasibility means the smallest eigenvalue of the assembled
-    ``E3 = I - x P1 - y P2`` is at least ``-EIG_TOL``.  Because ``P2`` is
+    ``E3 = I - x P1 - y P2``, taken from its three entries
+    (:func:`_e3_min_eig`), is at least ``-EIG_TOL``.  Because ``P2`` is
     PSD the feasible ``y`` form an interval starting at 0, so bisection
     on the eigenvalue sign is exact.  Entries return NaN when even
     ``y = 0`` is infeasible for that ``x``.
     """
-    eye = np.eye(2)
-
-    def min_eig(ys: np.ndarray) -> np.ndarray:
-        mats = (eye[None, :, :]
-                - xs[:, None, None] * p1[None, :, :]
-                - ys[:, None, None] * p2[None, :, :])
-        return np.linalg.eigvalsh(mats)[:, 0]
-
+    min_eig = _e3_min_eig(xs, p1, p2)
     lo = np.zeros_like(xs)
     alive = min_eig(lo) >= -EIG_TOL
     hi = np.full_like(xs, BOX)
@@ -410,15 +462,15 @@ def pmax_oracle(params: ProtocolParams,
     """Brute-force check value for :func:`optimum`, sharing no formulas.
 
     Maximizes ``x + y`` over the box ``[0, BOX]^2``.  Feasibility is
-    decided solely by the eigenvalues of the assembled ``E3`` matrix
-    (never by the closed-form trace/determinant, which are what this
-    oracle is meant to check).  The search scans a grid of ``x`` values,
-    solves the largest feasible ``y`` for each by eigenvalue bisection,
-    and re-grids around the incumbent until the ``x`` step is below
-    ``resolution / 10``.  The feasible region is convex and the
-    objective linear, so the scan over ``x`` maximizes a concave
-    function and the refinement cannot get trapped.  Ties are broken
-    toward lexicographically smaller ``(x, y)``.
+    decided solely by the smallest eigenvalue of the assembled ``E3``
+    matrix, computed from its three entries (never from the closed-form
+    trace/determinant, which are what this oracle is meant to check).
+    The search scans a grid of ``x`` values, solves the largest feasible
+    ``y`` for each by eigenvalue bisection, and re-grids around the
+    incumbent until the ``x`` step is below ``resolution / 10``.  The
+    feasible region is convex and the objective linear, so the scan over
+    ``x`` maximizes a concave function and the refinement cannot get
+    trapped.  Ties are broken toward lexicographically smaller ``(x, y)``.
     """
     if not 1e-7 <= resolution <= 1e-2:
         raise ValueError(f"resolution must lie in [1e-7, 1e-2], got {resolution!r}")

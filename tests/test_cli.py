@@ -302,6 +302,7 @@ def test_simulate_vanishing_resource(capsys, deterministic):
     ["simulate", "--theta", "1e-13", "--alpha", "1e-13"],
     ["simulate", "--theta", "2.4e-13", "--alpha", "1e-7"],
     ["simulate", "--theta", "0.5pi", "--alpha", "1e-5", "--deterministic"],
+    ["pmax", "--theta", "1e-200", "--alpha", "1e-200"],  # squares underflow
 ])
 def test_small_angles_give_finite_reports(capsys, argv):
     """Where both angles are small, or the gate angle is pi/2 and the

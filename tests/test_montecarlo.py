@@ -1,16 +1,18 @@
 """Batched sampling engine: agreement with single runs and statistics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrot import montecarlo
 from entrot.entanglement import average_cost, resource_entropy
 from entrot.montecarlo import SummaryStats, monte_carlo
-from entrot.povm import PovmWeights, ProtocolParams, build_povm, optimum
+from entrot.povm import (HALF_PI, PovmWeights, ProtocolParams, build_povm,
+                         optimum)
 from entrot.protocol import (_execute, _rng_from_seed, controlled_rotation,
                              wrap_angle)
 from entrot.qmath import (StateVector, apply_gate, fidelity, haar_state,
@@ -329,3 +331,36 @@ def test_summary_invariants(seed, trials):
         assert s.mean_fidelity >= 1 - 1e-12
     else:
         assert s.mean_fidelity is None
+
+
+#: Every float, weighted toward the documented domain of both angles.
+any_angle = st.floats() | st.floats(0.0, HALF_PI)
+
+
+@settings(max_examples=150)
+@given(any_angle, any_angle, st.integers(1, 64), st.booleans())
+@example(1e-12, 1e-8, 64, False)
+@example(0.3, 1e-6, 64, True)
+@example(HALF_PI, 1e-5, 64, True)
+@example(1e-200, 1e-200, 64, True)
+@example(0.25 * math.pi, 1e-300, 64, True)
+@example(1e-300, 2.2250738585072014e-308, 64, False)
+@example(-0.5, HALF_PI, 64, True)
+@example(0.3, 5e-324, 64, False)
+def test_monte_carlo_is_total(theta, alpha, trials, deterministic):
+    """Over every float pair the angles are rejected (ValueError), or a
+    small run in either mode gives finite statistics with no warning."""
+    try:
+        params = ProtocolParams(theta, alpha)
+    except ValueError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = monte_carlo(params, trials=trials, seed=trials,
+                        deterministic=deterministic)
+    assert sum(s.branch_counts) == trials
+    values = [s.empirical_p, s.analytic_p, s.z_score, s.mean_bell_pairs,
+              s.mean_ebits]
+    if s.mean_fidelity is not None:
+        values.append(s.mean_fidelity)
+    assert all(math.isfinite(v) for v in values)

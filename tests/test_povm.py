@@ -160,6 +160,39 @@ def test_closed_forms_match_direct_matrix_algebra(theta, alpha, x, y):
     assert det_e3(params, w) == pytest.approx(float(np.linalg.det(e3)), abs=1e-12)
 
 
+def test_trace_and_determinant_match_a_50_digit_reference():
+    """At the optimum and at a feasible point inside it, ``tr_e3`` and
+    ``det_e3`` are accurate from the smallest resource angle up: within
+    1e-12 in the product forms and a few ulps below ``_SMALL_ALPHA``,
+    where the product form's determinant cancels and its squared sines
+    underflow."""
+    mpmath = pytest.importorskip("mpmath")
+    thetas = np.geomspace(1e-300, HALF_PI, 24).tolist()
+    alphas = np.geomspace(2.3e-308, HALF_PI, 24).tolist() + [
+        povm._SMALL_ALPHA, math.nextafter(povm._SMALL_ALPHA, 0.0)]
+    worst = {True: 0.0, False: 0.0}
+    with mpmath.workdps(50):
+        for theta in thetas:
+            for alpha in alphas:
+                params = ProtocolParams(theta, alpha)
+                best = optimum(params)
+                t, a = mpmath.mpf(theta), mpmath.mpf(alpha)
+                c, s = mpmath.cos(a / 2), mpmath.sin(a / 2)
+                ct, st = mpmath.cos(t / 2), mpmath.sin(t / 2)
+                v1 = mpmath.matrix([ct / c, st / s])
+                v2 = mpmath.matrix([st / c, -ct / s])
+                for f in (1.0, 0.5):
+                    w = PovmWeights(f * best.x, f * best.y)
+                    e3 = mpmath.eye(2) - w.x * v1 * v1.T - w.y * v2 * v2.T
+                    small = alpha < povm._SMALL_ALPHA
+                    worst[small] = max(
+                        worst[small],
+                        float(abs(tr_e3(params, w) - (e3[0, 0] + e3[1, 1]))),
+                        float(abs(det_e3(params, w) - mpmath.det(e3))))
+    assert worst[False] <= 1e-12
+    assert worst[True] <= 8 * np.finfo(float).eps
+
+
 # ------------------------------------------------------ case split
 
 def test_case_split_sign_examples():
@@ -274,7 +307,8 @@ def test_closed_forms_are_total(theta, alpha):
         best = optimum(params)
         report = average_cost(params)
         assert all(math.isfinite(v) for v in (
-            best.x, best.y, best.p_max, report.entropy, report.avg_cost))
+            best.x, best.y, best.p_max, report.entropy, report.avg_cost,
+            tr_e3(params, best.weights), det_e3(params, best.weights)))
         assert build_povm(params, best.weights).positive
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -342,3 +376,56 @@ def test_oracle_reproduces_known_optima(theta, alpha, expected):
     assert p <= optimum(params).p_max + 1e-9
     s = build_povm(params, PovmWeights(x, y))
     assert s.positive
+
+
+def test_oracle_optima_are_bit_exact():
+    """The oracle's exact answers at the known optima.  ``y`` sits
+    ``EIG_TOL / |v2|^2`` past the boundary, so flipping the slack's sign
+    or loosening the eigenvalue changes them."""
+    assert pmax_oracle(ProtocolParams(HALF_PI, math.pi / 3)) == (
+        0.25, 0.2500000000004974, 0.5000000000004974)
+    assert pmax_oracle(ProtocolParams(math.pi / 4, math.pi / 6)) == (
+        0.322474375, 4.4932075127235296e-08, 0.3224744199320751)
+    assert pmax_oracle(ProtocolParams(0.4 * math.pi, HALF_PI)) == (
+        0.5, 0.5000000000004958, 1.0000000000004958)
+
+
+def test_entry_min_eig_matches_a_50_digit_reference():
+    """The oracle's smallest eigenvalue of ``E3 = I - x P1 - y P2``, read
+    from the matrix's entries, is within a few ulps of the largest term
+    ``I``, ``x P1`` or ``y P2`` of a 50-digit eigenvalue of the same
+    matrix, at random weights and within a few ulps of both feasibility
+    boundaries: the exact one (eigenvalue 0) and the oracle's own
+    (eigenvalue ``-EIG_TOL``)."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261018)
+    ulps = np.arange(-3.0, 4.0)
+    worst, checked = 0.0, 0
+    with mpmath.workdps(50):
+        for theta, alpha in rng.uniform(0.02, 0.5, size=(12, 2)) * math.pi:
+            v1, v2 = povm_vectors(ProtocolParams(float(theta), float(alpha)))
+            p1, p2 = np.outer(v1, v1), np.outer(v2, v2)
+            xs = rng.uniform(0.0, povm.BOX, 8)
+            edge = povm._best_feasible_y(xs, p1, p2)  # eigenvalue -EIG_TOL
+            m1, m2 = mpmath.matrix(p1.tolist()), mpmath.matrix(p2.tolist())
+            w = mpmath.matrix(v2.tolist())
+            for x, y_tol in zip(xs.tolist(), edge.tolist()):
+                m = mpmath.eye(2) - x * m1
+                # det(m - y w w^T) = det(m) - y w^T adj(m) w: its zero is
+                # the exact boundary, up to the rounding of P2's entries
+                adj = mpmath.matrix([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+                y_zero = mpmath.det(m) / (w.T * adj * w)[0]
+                ys = [rng.uniform(0.0, povm.BOX)]
+                for centre in (float(y_zero), y_tol):
+                    if 0.0 <= centre <= povm.BOX:  # NaN: infeasible at y = 0
+                        ys += (centre + ulps * np.spacing(centre)).tolist()
+                got = povm._e3_min_eig(np.full(len(ys), x), p1, p2)(
+                    np.array(ys))
+                for y, value in zip(ys, got.tolist()):
+                    e3 = m - y * m2
+                    want = min(mpmath.eigsy(e3)[0])
+                    scale = max(1.0, x * np.abs(p1).max(), y * np.abs(p2).max())
+                    worst = max(worst, float(abs(value - want)) / scale)
+                    checked += 1
+    assert checked >= 500
+    assert worst <= 4 * np.finfo(float).eps

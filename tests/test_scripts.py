@@ -1,5 +1,6 @@
 """The runnable experiment scripts stay healthy end to end."""
 
+import json
 import pathlib
 import subprocess
 import sys
@@ -41,3 +42,27 @@ def test_threshold_script(tmp_path, checkout_env):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "theta_pi,best_alpha_pi,min_cost"
     assert len(lines) == 7
+
+
+def test_bench_script_schema(tmp_path, checkout_env):
+    """Two labelled tiny runs land in one file with the same schema; no
+    timing is checked."""
+    out = tmp_path / "bench.json"
+    for label, repeats in (("parent", "1"), ("change", "3")):
+        proc = run_script(checkout_env, "bench.py", "--size", "tiny",
+                          "--repeats", repeats, "--label", label,
+                          "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["schema"] == 1 and set(doc["runs"]) == {"parent", "change"}
+    for label, run in doc["runs"].items():
+        assert set(run) == {"git_sha", "git_dirty", "entrot", "python",
+                            "numpy", "machine", "cpu_count", "size", "paths"}
+        assert run["size"]["name"] == "tiny"
+        assert isinstance(run["cpu_count"], int)
+        assert set(run["paths"]) == {
+            "monte_carlo", "monte_carlo_deterministic", "run_once", "sweep",
+            "pmax_oracle", "threshold_theta"}
+        for stats in run["paths"].values():
+            assert stats["n"] == (1 if label == "parent" else 3)
+            assert 0.0 < stats["q1_s"] <= stats["median_s"] <= stats["q3_s"]
