@@ -381,7 +381,7 @@ def test_oracle_reproduces_known_optima(theta, alpha, expected):
 def test_oracle_optima_are_bit_exact():
     """The oracle's exact answers at the known optima.  ``y`` sits
     ``EIG_TOL / |v2|^2`` past the boundary, so flipping the slack's sign
-    or loosening the eigenvalue changes them."""
+    changes them."""
     assert pmax_oracle(ProtocolParams(HALF_PI, math.pi / 3)) == (
         0.25, 0.2500000000004974, 0.5000000000004974)
     assert pmax_oracle(ProtocolParams(math.pi / 4, math.pi / 6)) == (
@@ -392,10 +392,10 @@ def test_oracle_optima_are_bit_exact():
 
 def test_entry_min_eig_matches_a_50_digit_reference():
     """The oracle's smallest eigenvalue of ``E3 = I - x P1 - y P2``, read
-    from the matrix's entries, is within a few ulps of the largest term
-    ``I``, ``x P1`` or ``y P2`` of a 50-digit eigenvalue of the same
-    matrix, at random weights and within a few ulps of both feasibility
-    boundaries: the exact one (eigenvalue 0) and the oracle's own
+    from the matrix's entries, agrees with a 50-digit eigenvalue of the
+    same matrix to a few ulps of its largest term (``I``, ``x P1`` or
+    ``y P2``): at random ``y`` and within a few ulps of both feasibility
+    boundaries, the exact one (eigenvalue 0) and the oracle's own
     (eigenvalue ``-EIG_TOL``)."""
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20261018)
@@ -424,7 +424,8 @@ def test_entry_min_eig_matches_a_50_digit_reference():
                 for y, value in zip(ys, got.tolist()):
                     e3 = m - y * m2
                     want = min(mpmath.eigsy(e3)[0])
-                    scale = max(1.0, x * np.abs(p1).max(), y * np.abs(p2).max())
+                    scale = max(1.0, x * np.abs(p1).max(),
+                                y * np.abs(p2).max())
                     worst = max(worst, float(abs(value - want)) / scale)
                     checked += 1
     assert checked >= 500
