@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Time entrot's hot paths and record them in a JSON file.
 
-Each path is called once untimed, then timed ``--repeats`` times with
-``time.perf_counter``; the file keeps the median, the quartiles and the
-count, per path, with the git revision, Python, numpy and CPU count of
-the run.  Runs are stored under ``--label``, so one file can hold a
+Each path is called once untimed, then timed a fixed number of times
+(per ``--size``) with ``time.perf_counter``; the file keeps the median,
+the quartiles and the count, per path, with the git revision, Python,
+numpy and CPU count of the run.  Runs are stored under ``--label``, so one file can hold a
 parent and a change measured on the same machine: a later run replaces
 only the run with its own label.  The package is imported from the
 usual path, so ``PYTHONPATH`` selects the checkout that is measured.
@@ -31,8 +31,9 @@ import numpy as np
 import entrot
 from entrot.cli import main as cli_main
 
-#: Per size: Monte Carlo trials and sweep points per axis.
-SIZES = {"full": (1_000_000, 400), "tiny": (1_000, 5)}
+#: Per size: Monte Carlo trials, sweep points per axis and timed calls
+#: per path.
+SIZES = {"full": (1_000_000, 400, 7), "tiny": (1_000, 5, 3)}
 
 
 def _revision(where: pathlib.Path) -> dict:
@@ -49,7 +50,7 @@ def _revision(where: pathlib.Path) -> dict:
 
 def _paths(size: str, workdir: str):
     """``(name, call)`` pairs; every call is independent of the last."""
-    trials, points = SIZES[size]
+    trials, points, _ = SIZES[size]
     params = entrot.ProtocolParams(math.pi / 4, math.pi / 6)
     weights = entrot.optimum(params).weights
     rng = np.random.default_rng(7)
@@ -80,7 +81,8 @@ def _paths(size: str, workdir: str):
     ]
 
 
-def measure(size: str, repeats: int) -> dict:
+def measure(size: str) -> dict:
+    trials, points, repeats = SIZES[size]
     results = {}
     with tempfile.TemporaryDirectory(prefix="entrot-bench-") as workdir:
         for name, call in _paths(size, workdir):
@@ -90,12 +92,10 @@ def measure(size: str, repeats: int) -> dict:
                 start = time.perf_counter()
                 call()
                 times.append(time.perf_counter() - start)
-            q1, median, q3 = (statistics.quantiles(times, n=4,
-                                                   method="inclusive")
-                              if repeats > 1 else times * 3)
+            q1, median, q3 = statistics.quantiles(times, n=4,
+                                                  method="inclusive")
             results[name] = {"median_s": median, "q1_s": q1, "q3_s": q3,
                              "n": repeats}
-    trials, points = SIZES[size]
     return {
         **_revision(pathlib.Path(entrot.__file__).parent),
         "entrot": entrot.__version__,
@@ -115,18 +115,15 @@ def main() -> int:
     parser.add_argument("--out", required=True, help="JSON file to update")
     parser.add_argument("--label", required=True,
                         help="name of this run in the file, e.g. parent")
-    parser.add_argument("--repeats", type=int, default=7,
-                        help="timed calls per path (default 7)")
     parser.add_argument("--size", choices=sorted(SIZES), default="full",
-                        help="full: 1e6 trials, a 400x400 sweep; tiny: a "
-                             "schema check in seconds (default full)")
+                        help="full: 1e6 trials, a 400x400 sweep, 7 timed "
+                             "calls; tiny: a schema check in seconds "
+                             "(default full)")
     args = parser.parse_args()
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     out = pathlib.Path(args.out)
     doc = (json.loads(out.read_text(encoding="utf-8")) if out.exists()
            else {"schema": 1, "runs": {}})
-    doc["runs"][args.label] = measure(args.size, args.repeats)
+    doc["runs"][args.label] = measure(args.size)
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(f"wrote run {args.label!r} to {out}", file=sys.stderr)
     return 0

@@ -21,13 +21,13 @@ def run(args: argparse.Namespace) -> int:
     thetas = np.linspace(args.min_pi * math.pi, args.max_pi * math.pi,
                          args.steps)
     rows = ["theta_pi,best_alpha_pi,min_cost"]
-    # The golden-section bracket ends below --tol radians wide, and the
-    # cost is flat at its minimum: print only the decimals of alpha/pi
-    # that the bracket resolves.
-    places = math.floor(-math.log10(args.tol / math.pi))
     print(f"{'theta/pi':>10} {'alpha*/pi':>10} {'min cost':>12}")
     for theta in thetas:
         alpha, cost = min_cost_over_alpha(float(theta), tol=args.tol)
+        # The golden-section bracket ends below --tol radians wide (a
+        # tol the search has just accepted), and the cost is flat at its
+        # minimum: print only the decimals of alpha/pi it resolves.
+        places = math.floor(-math.log10(args.tol / math.pi))
         rows.append(f"{theta / math.pi:.12g},{alpha / math.pi:.{places}f},"
                     f"{cost:.12g}")
         marker = "" if cost < 1.0 else "  <- Bell pair is already optimal"

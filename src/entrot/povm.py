@@ -235,7 +235,10 @@ def build_povm(params: ProtocolParams, weights: PovmWeights) -> PovmSet:
 #: Below this resource angle :func:`tr_e3` and :func:`det_e3` leave their
 #: product forms: the determinant's cancels to an absolute error of about
 #: ``4 eps / sin(alpha)^2`` (1e-12 here), and both divide by squared sines
-#: that underflow to 0 below ``alpha`` ~ 3e-154.
+#: that underflow to 0 below ``alpha`` ~ 3e-154.  Above it the product
+#: forms stay, though the small-angle form is accurate everywhere: its
+#: round-off differs, and ``pmax`` and ``verify`` print these values at
+#: round-off level.
 _SMALL_ALPHA = 2.0 ** -5
 
 

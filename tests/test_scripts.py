@@ -44,14 +44,22 @@ def test_threshold_script(tmp_path, checkout_env):
     assert len(lines) == 7
 
 
+def test_threshold_script_rejects_a_zero_tol(checkout_env):
+    """An unusable --tol stops on the search's own range message."""
+    proc = run_script(checkout_env, "threshold_scan.py", "--steps", "2",
+                      "--tol", "0")
+    assert proc.returncode != 0
+    assert "tol must lie in [1e-8, 1e-3], got 0.0" in proc.stderr
+    assert "math domain error" not in proc.stderr
+
+
 def test_bench_script_schema(tmp_path, checkout_env):
     """Two labelled tiny runs land in one file with the same schema; no
     timing is checked."""
     out = tmp_path / "bench.json"
-    for label, repeats in (("parent", "1"), ("change", "3")):
+    for label in ("parent", "change"):
         proc = run_script(checkout_env, "bench.py", "--size", "tiny",
-                          "--repeats", repeats, "--label", label,
-                          "--out", str(out))
+                          "--label", label, "--out", str(out))
         assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["schema"] == 1 and set(doc["runs"]) == {"parent", "change"}
@@ -64,5 +72,5 @@ def test_bench_script_schema(tmp_path, checkout_env):
             "monte_carlo", "monte_carlo_deterministic", "run_once", "sweep",
             "pmax_oracle", "threshold_theta"}
         for stats in run["paths"].values():
-            assert stats["n"] == (1 if label == "parent" else 3)
+            assert stats["n"] == 3  # the tiny size's timed calls
             assert 0.0 < stats["q1_s"] <= stats["median_s"] <= stats["q3_s"]
