@@ -44,12 +44,12 @@ from functools import reduce
 import numpy as np
 
 from .entanglement import resource_entropy
-from .povm import PovmWeights, ProtocolParams, build_povm, optimum
-from .protocol import (_rng_from_seed, controlled_rotation, failure_residual,
-                       finish_success, initial_register, recover_with_bell,
-                       step1_alice, step2_bob, step3_bob, step4_bob_povm,
-                       wrap_angle)
-from .qmath import StateVector, psd_sqrt2
+from .povm import PovmSet, PovmWeights, ProtocolParams, build_povm, optimum
+from .protocol import (_check_input, _rng_from_seed, controlled_rotation,
+                       failure_residual, finish_success, initial_register,
+                       recover_with_bell, step1_alice, step2_bob, step3_bob,
+                       step4_bob_povm, wrap_angle)
+from .qmath import StateVector
 
 __all__ = ["SummaryStats", "monte_carlo"]
 
@@ -105,15 +105,15 @@ def _reading(state: StateVector) -> np.ndarray:
     return state.permuted(("A", "B")).amps / _PROBE.amps
 
 
-def _b_edge(params: ProtocolParams, e3: np.ndarray) -> float:
+def _b_edge(povm: PovmSet) -> float:
     """Threshold of the failure ``b`` outcome: the weight of ``b = 0``.
 
     Row ``j`` of the failure Kraus operator leaves weight
     ``c^2 r_j0^2 + s^2 r_j1^2`` on ``b = j``, whatever the data state.
     """
-    r = psd_sqrt2(e3).real
-    pb = ((params.cos_half_alpha * r[:, 0]) ** 2
-          + (params.sin_half_alpha * r[:, 1]) ** 2)
+    r = povm.sqrt_e3.real
+    pb = ((povm.params.cos_half_alpha * r[:, 0]) ** 2
+          + (povm.params.sin_half_alpha * r[:, 1]) ** 2)
     return float(pb[0] / (pb[0] + pb[1]))
 
 
@@ -184,7 +184,7 @@ def _transcript_table(params: ProtocolParams, weights: PovmWeights,
             if not deterministic:
                 continue
             if b_bins is None:
-                edges[2] = (_b_edge(params, povm.e3),)
+                edges[2] = (_b_edge(povm),)
                 b_bins = list(_bins(edges[2]))
             for j, (_, u_b) in enumerate(b_bins):
                 if u_b is None:
@@ -288,11 +288,7 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
         raise ValueError(f"trials must be at least 1, got {trials!r}")
     fixed_weight = None
     if input_state is not None:
-        if set(input_state.qubits) != {"A", "B"}:
-            raise ValueError(
-                f"input must live on qubits A and B, got {input_state.qubits}")
-        if abs(input_state.norm() - 1.0) > 1e-9:
-            raise ValueError("input state must be normalized")
+        _check_input(input_state)
         fixed_weight = np.abs(input_state.permuted(("A", "B")).amps) ** 2
     dec_rng = _rng_from_seed(seed, _DECISION_CHANNEL)
     in_rng = _rng_from_seed(seed, _INPUT_CHANNEL)

@@ -22,8 +22,11 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+from .qmath import psd_sqrt2
 
 __all__ = [
     "CaseLabel",
@@ -182,6 +185,15 @@ class PovmSet:
     min_eig_e3: float
     positive: bool
 
+    @cached_property
+    def sqrt_e3(self) -> np.ndarray:
+        """PSD square root of ``E3``, computed on first use: the failure
+        branch's Kraus operator, whose rows also give the ``b`` weights
+        and the residual angle."""
+        root = psd_sqrt2(self.e3)
+        root.flags.writeable = False
+        return root
+
 
 @dataclass(frozen=True)
 class OptimumResult:
@@ -213,39 +225,36 @@ def povm_vectors(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     return v1, v2
 
 
+def _min_eig2(a, b, d):
+    """The smaller eigenvalue of the real symmetric ``[[a, b], [b, d]]``,
+    for floats or arrays: ``(a + d)/2 - hypot((a - d)/2, b)``, accurate to
+    a few ulps of the largest entry."""
+    return 0.5 * (a + d) - np.hypot(0.5 * (a - d), b)
+
+
 def build_povm(params: ProtocolParams, weights: PovmWeights) -> PovmSet:
     """Assemble ``E1 = x v1 v1^T``, ``E2 = y v2 v2^T`` and the remainder.
 
-    Positivity of ``E3`` is certified directly from its eigenvalues with
-    slack ``EIG_TOL``; ``E1`` and ``E2`` are PSD by construction.  A zero
-    weight gives an exact zero element: at a tiny ``alpha`` the vectors
-    overflow, and ``0 * inf`` would be NaN.
+    Positivity of ``E3`` is certified from its smallest eigenvalue
+    (:func:`_min_eig2`) with slack ``EIG_TOL``; ``E1`` and ``E2`` are PSD
+    by construction.  A zero weight gives an exact zero element: at a
+    tiny ``alpha`` the vectors overflow, and ``0 * inf`` would be NaN.
     """
     v1, v2 = povm_vectors(params)
     e1 = weights.x * np.outer(v1, v1) if weights.x else np.zeros((2, 2))
     e2 = weights.y * np.outer(v2, v2) if weights.y else np.zeros((2, 2))
     e3 = np.eye(2) - e1 - e2
-    min_eig = float(np.linalg.eigvalsh(e3)[0])
+    min_eig = float(_min_eig2(e3[0, 0], e3[0, 1], e3[1, 1]))
     for m in (e1, e2, e3):
         m.flags.writeable = False
     return PovmSet(params, weights, e1, e2, e3,
                    min_eig_e3=min_eig, positive=min_eig >= -EIG_TOL)
 
 
-#: Below this resource angle :func:`tr_e3` and :func:`det_e3` leave their
-#: product forms: the determinant's cancels to an absolute error of about
-#: ``4 eps / sin(alpha)^2`` (1e-12 here), and both divide by squared sines
-#: that underflow to 0 below ``alpha`` ~ 3e-154.  Above it the product
-#: forms stay, though the small-angle form is accurate everywhere: its
-#: round-off differs, and ``pmax`` and ``verify`` print these values at
-#: round-off level.
-_SMALL_ALPHA = 2.0 ** -5
-
-
 def _success_invariants(params: ProtocolParams,
                         weights: PovmWeights) -> tuple[float, float]:
     """Trace and determinant of ``E1 + E2``, for :func:`tr_e3` and
-    :func:`det_e3` at small ``alpha``.
+    :func:`det_e3`.
 
     They come from ``u1 = sqrt(x) v1`` and ``u2 = sqrt(y) v2``: ``|u1|^2 +
     |u2|^2`` and ``(u1 x u2)^2``, where ``|v1 x v2| = 1 / (cos(alpha/2)
@@ -265,37 +274,19 @@ def _success_invariants(params: ProtocolParams,
 
 
 def tr_e3(params: ProtocolParams, weights: PovmWeights) -> float:
-    """Closed-form trace of the failure element."""
-    if params.alpha < _SMALL_ALPHA:
-        return 2.0 - _success_invariants(params, weights)[0]
-    c2 = params.cos_half_alpha ** 2
-    s2 = params.sin_half_alpha ** 2
-    ct2 = math.cos(params.theta / 2) ** 2
-    st2 = math.sin(params.theta / 2) ** 2
-    return (2.0
-            - weights.x * (ct2 / c2 + st2 / s2)
-            - weights.y * (st2 / c2 + ct2 / s2))
+    """Closed-form trace of the failure element, ``2 - tr(E1 + E2)``."""
+    return 2.0 - _success_invariants(params, weights)[0]
 
 
 def det_e3(params: ProtocolParams, weights: PovmWeights) -> float:
-    """Closed-form determinant of the failure element.
+    """Closed-form determinant of the failure element, ``1 - tr(E1 + E2)
+    + det(E1 + E2)``.
 
-    Written in the product form centred on the positivity hyperbola,
-    which stays accurate right where the optimum sits (the determinant
-    vanishes there).  Below ``_SMALL_ALPHA`` it is ``1 - tr(E1 + E2) +
-    det(E1 + E2)`` instead, accurate to a few ulps for positive ``E3``.
+    Accurate to a few ulps for positive ``E3`` at every ``alpha``,
+    including at the optimum, where it vanishes.
     """
-    if params.alpha < _SMALL_ALPHA:
-        trace, det = _success_invariants(params, weights)
-        return 1.0 - trace + det
-    ca = params.cos_alpha
-    ct = params.cos_theta
-    st = params.sin_theta
-    sa2 = math.sin(params.alpha) ** 2
-    a = (1.0 + ct * ca) / 2.0
-    b = (1.0 - ct * ca) / 2.0
-    d = ca * ca * st * st / 4.0
-    return 4.0 / sa2 * ((weights.x - a) * (weights.y - b) - d)
+    trace, det = _success_invariants(params, weights)
+    return 1.0 - trace + det
 
 
 #: Case labels by ``_case``'s index: the number of band edges the
@@ -379,7 +370,7 @@ def discriminant(params: ProtocolParams) -> float:
     ct, st = _trig(params.theta)
     ca, sa = _trig(params.alpha)
     cross, _, _, _, den = _closed_form(ct, st, ca, sa)
-    return ca * st * (cross / den)
+    return ca * st * (cross / den) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 def optimum(params: ProtocolParams) -> OptimumResult:
@@ -410,26 +401,25 @@ def bell_conversion_prob(alpha: float) -> float:
 
 BOX = 1.2
 
+#: The smallest resource angle :func:`pmax_oracle` accepts.  The entries
+#: of ``v2 v2^T`` grow like ``1 / sin(alpha/2)^2`` and overflow below
+#: ``alpha`` ~ 1e-154.
+ORACLE_MIN_ALPHA = 1e-150
+
 
 def _e3_min_eig(xs: np.ndarray, p1: np.ndarray, p2: np.ndarray):
     """The smallest eigenvalue of ``E3 = I - x P1 - y P2`` at each ``x``
     in ``xs``, as a function of ``ys``, read from the assembled matrix's
-    three entries.
-
-    ``E3`` is real symmetric, ``[[a, b], [b, d]]``, so its smaller
-    eigenvalue is ``(a + d)/2 - hypot((a - d)/2, b)``, accurate to a few
-    ulps of the largest entry.  The ``x`` side of each entry is formed once;
-    each call only subtracts ``y P2``.
+    three entries by :func:`_min_eig2`.  The ``x`` side of each entry is
+    formed once; each call only subtracts ``y P2``.
     """
     a0 = 1.0 - xs * p1[0, 0]
     b0 = -xs * p1[0, 1]
     d0 = 1.0 - xs * p1[1, 1]
 
     def min_eig(ys: np.ndarray) -> np.ndarray:
-        a = a0 - ys * p2[0, 0]
-        b = b0 - ys * p2[0, 1]
-        d = d0 - ys * p2[1, 1]
-        return 0.5 * (a + d) - np.hypot(0.5 * (a - d), b)
+        return _min_eig2(a0 - ys * p2[0, 0], b0 - ys * p2[0, 1],
+                         d0 - ys * p2[1, 1])
 
     return min_eig
 
@@ -474,9 +464,15 @@ def pmax_oracle(params: ProtocolParams,
     feasible region is convex and the objective linear, so the scan over
     ``x`` maximizes a concave function and the refinement cannot get
     trapped.  Ties are broken toward lexicographically smaller ``(x, y)``.
+
+    ``alpha`` must be at least ``ORACLE_MIN_ALPHA``: below it the squared
+    entries of ``P1`` and ``P2`` overflow, and ``ValueError`` is raised.
     """
     if not 1e-7 <= resolution <= 1e-2:
         raise ValueError(f"resolution must lie in [1e-7, 1e-2], got {resolution!r}")
+    if params.alpha < ORACLE_MIN_ALPHA:
+        raise ValueError(f"the search oracle needs alpha >= {ORACLE_MIN_ALPHA!r}, "
+                         f"got {params.alpha!r}")
     v1, v2 = povm_vectors(params)
     p1 = np.outer(v1, v1)
     p2 = np.outer(v2, v2)

@@ -38,8 +38,6 @@ from .povm import (HALF_PI, PovmSet, PovmWeights, ProtocolParams, build_povm,
 from .qmath import StateVector
 
 __all__ = [
-    "ALICE_QUBITS",
-    "BOB_QUBITS",
     "BasisResult",
     "ClassicalMessage",
     "CONTROLLED_PHASE",
@@ -61,8 +59,6 @@ __all__ = [
     "wrap_angle",
 ]
 
-ALICE_QUBITS = ("a", "A")
-BOB_QUBITS = ("B", "b")
 REGISTER_ORDER = ("a", "A", "B", "b")
 
 #: Branches whose Born weight falls below this are never sampled.  This
@@ -160,12 +156,17 @@ def prepare_resource(alpha: float) -> StateVector:
     return StateVector(("a", "b"), amps)
 
 
-def initial_register(alpha: float, input_state: StateVector) -> StateVector:
-    """Adjoin a fresh resource pair to the data state, order (a, A, B, b)."""
+def _check_input(input_state: StateVector) -> None:
+    """Reject a data state that is not a normalized state of ``A``, ``B``."""
     if set(input_state.qubits) != {"A", "B"}:
         raise ValueError(f"input must live on qubits A and B, got {input_state.qubits}")
     if abs(input_state.norm() - 1.0) > 1e-9:
         raise ValueError("input state must be normalized")
+
+
+def initial_register(alpha: float, input_state: StateVector) -> StateVector:
+    """Adjoin a fresh resource pair to the data state, order (a, A, B, b)."""
+    _check_input(input_state)
     full = prepare_resource(alpha).tensor(input_state.permuted(("A", "B")))
     return full.permuted(REGISTER_ORDER)
 
@@ -224,11 +225,11 @@ def step4_bob_povm(register: StateVector, povm: PovmSet,
         # Round-off tail of a vanishing failure element: fold it into
         # the heavier success branch instead of a degenerate update.
         branch = 2 if p2 >= BRANCH_MIN_PROB else 1
-    element = (povm.e1, povm.e2, povm.e3)[branch - 1]
-    kraus = qmath.psd_sqrt2(element)
-    reg = qmath.apply_gate(register, kraus, ("b",)).normalized()
     if branch == 3:
+        reg = qmath.apply_gate(register, povm.sqrt_e3, ("b",)).normalized()
         return branch, reg
+    kraus = qmath.psd_sqrt2(povm.e1 if branch == 1 else povm.e2)
+    reg = qmath.apply_gate(register, kraus, ("b",)).normalized()
     # the b state left by a rank-one success outcome; the other branch's
     # vector is never normalized, as it may overflow at a tiny alpha
     v = povm_vectors(povm.params)[branch - 1]
@@ -265,7 +266,7 @@ def failure_residual(register: StateVector, povm: PovmSet,
     (``c, s`` the resource half-angle cosine/sine), so measuring ``b``
     collapses the data register to a definite, known residual gate.
     """
-    r = qmath.psd_sqrt2(povm.e3).real
+    r = povm.sqrt_e3.real
     j, reduced = qmath.measure_qubit(register, "b", _Z_BASIS, u)
     c = povm.params.cos_half_alpha
     s = povm.params.sin_half_alpha

@@ -19,8 +19,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "I2",
-    "SX",
     "SZ",
     "StateVector",
     "apply_gate",
@@ -42,8 +40,6 @@ HERMITIAN_TOL = 1e-12
 #: Eigenvalues in [-CLAMP_TOL, 0) are treated as exact zeros by psd_sqrt2.
 CLAMP_TOL = 1e-9
 
-I2 = np.eye(2, dtype=complex)
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 

@@ -318,6 +318,18 @@ def test_small_angles_give_finite_reports(capsys, argv):
     assert values and all(math.isfinite(v) for v in values)
 
 
+def test_pmax_discriminant_zero_is_unsigned(capsys):
+    """At a Bell resource ``cos(alpha)`` is exactly 0, and the
+    discriminant, 0 times a negative ratio, prints as 0, never -0."""
+    argv = ("pmax", "--theta", "1pi", "--alpha", "0.5pi")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert "discriminant = 0\n" in out
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 0 and err == ""
+    assert '"discriminant": 0.0,' in out
+
+
 def test_simulate_statistical_alarm_exits_3(capsys, monkeypatch):
     real = cli.monte_carlo
 

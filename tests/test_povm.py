@@ -162,15 +162,13 @@ def test_closed_forms_match_direct_matrix_algebra(theta, alpha, x, y):
 
 def test_trace_and_determinant_match_a_50_digit_reference():
     """At the optimum and at a feasible point inside it, ``tr_e3`` and
-    ``det_e3`` are accurate from the smallest resource angle up: within
-    1e-12 in the product forms and a few ulps below ``_SMALL_ALPHA``,
-    where the product form's determinant cancels and its squared sines
-    underflow."""
+    ``det_e3`` are accurate to a few ulps from the smallest resource angle
+    up, where squared sines underflow, to a Bell pair."""
     mpmath = pytest.importorskip("mpmath")
     thetas = np.geomspace(1e-300, HALF_PI, 24).tolist()
     alphas = np.geomspace(2.3e-308, HALF_PI, 24).tolist() + [
-        povm._SMALL_ALPHA, math.nextafter(povm._SMALL_ALPHA, 0.0)]
-    worst = {True: 0.0, False: 0.0}
+        2.0 ** -5, math.nextafter(2.0 ** -5, 0.0)]
+    worst = 0.0
     with mpmath.workdps(50):
         for theta in thetas:
             for alpha in alphas:
@@ -184,13 +182,11 @@ def test_trace_and_determinant_match_a_50_digit_reference():
                 for f in (1.0, 0.5):
                     w = PovmWeights(f * best.x, f * best.y)
                     e3 = mpmath.eye(2) - w.x * v1 * v1.T - w.y * v2 * v2.T
-                    small = alpha < povm._SMALL_ALPHA
-                    worst[small] = max(
-                        worst[small],
+                    worst = max(
+                        worst,
                         float(abs(tr_e3(params, w) - (e3[0, 0] + e3[1, 1]))),
                         float(abs(det_e3(params, w) - mpmath.det(e3))))
-    assert worst[False] <= 1e-12
-    assert worst[True] <= 8 * np.finfo(float).eps
+    assert worst <= 8 * np.finfo(float).eps
 
 
 # ------------------------------------------------------ case split
@@ -363,6 +359,19 @@ def test_oracle_validates_resolution():
         pmax_oracle(params, resolution=0.5)
 
 
+@pytest.mark.parametrize("theta", [1e-300, 1e-100, 0.3, HALF_PI])
+def test_oracle_domain_ends_at_tiny_alpha(theta):
+    """At ``alpha = 1e-150`` the search runs with no overflow warning and
+    finds the closed form's (vanishing) optimum; at 1e-160 and 1e-200 the
+    entries of ``v2 v2^T`` would overflow, so the point is rejected."""
+    x, y, p = pmax_oracle(ProtocolParams(theta, 1e-150))
+    assert all(math.isfinite(v) for v in (x, y, p))
+    assert p <= optimum(ProtocolParams(theta, 1e-150)).p_max + 1e-9
+    for alpha in (1e-160, 1e-200):
+        with pytest.raises(ValueError, match="alpha >= 1e-150"):
+            pmax_oracle(ProtocolParams(theta, alpha))
+
+
 @pytest.mark.parametrize("theta,alpha,expected", [
     (HALF_PI, math.pi / 3, 0.5),
     (math.pi / 4, math.pi / 6, 0.3224744871391588),
@@ -391,24 +400,27 @@ def test_oracle_optima_are_bit_exact():
 
 
 def test_entry_min_eig_matches_a_50_digit_reference():
-    """The oracle's smallest eigenvalue of ``E3 = I - x P1 - y P2``, read
-    from the matrix's entries, agrees with a 50-digit eigenvalue of the
-    same matrix to a few ulps of its largest term (``I``, ``x P1`` or
-    ``y P2``): at random ``y`` and within a few ulps of both feasibility
-    boundaries, the exact one (eigenvalue 0) and the oracle's own
-    (eigenvalue ``-EIG_TOL``)."""
+    """The smallest eigenvalue of ``E3 = I - x P1 - y P2``, read from the
+    matrix's entries, agrees with a 50-digit eigenvalue of the same matrix
+    to a few ulps of its largest term (``I``, ``x P1`` or ``y P2``).  The
+    oracle's is checked at random ``y`` and within a few ulps of both
+    feasibility boundaries, the exact one (eigenvalue 0) and the oracle's
+    own (eigenvalue ``-EIG_TOL``); ``build_povm``'s at the optimum weights
+    and at half of them."""
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20261018)
     ulps = np.arange(-3.0, 4.0)
     worst, checked = 0.0, 0
     with mpmath.workdps(50):
         for theta, alpha in rng.uniform(0.02, 0.5, size=(12, 2)) * math.pi:
-            v1, v2 = povm_vectors(ProtocolParams(float(theta), float(alpha)))
+            params = ProtocolParams(float(theta), float(alpha))
+            v1, v2 = povm_vectors(params)
             p1, p2 = np.outer(v1, v1), np.outer(v2, v2)
             xs = rng.uniform(0.0, povm.BOX, 8)
             edge = povm._best_feasible_y(xs, p1, p2)  # eigenvalue -EIG_TOL
             m1, m2 = mpmath.matrix(p1.tolist()), mpmath.matrix(p2.tolist())
             w = mpmath.matrix(v2.tolist())
+            got = []  # (x, y, smallest eigenvalue from the entries)
             for x, y_tol in zip(xs.tolist(), edge.tolist()):
                 m = mpmath.eye(2) - x * m1
                 # det(m - y w w^T) = det(m) - y w^T adj(m) w: its zero is
@@ -419,14 +431,18 @@ def test_entry_min_eig_matches_a_50_digit_reference():
                 for centre in (float(y_zero), y_tol):
                     if 0.0 <= centre <= povm.BOX:  # NaN: infeasible at y = 0
                         ys += (centre + ulps * np.spacing(centre)).tolist()
-                got = povm._e3_min_eig(np.full(len(ys), x), p1, p2)(
+                values = povm._e3_min_eig(np.full(len(ys), x), p1, p2)(
                     np.array(ys))
-                for y, value in zip(ys, got.tolist()):
-                    e3 = m - y * m2
-                    want = min(mpmath.eigsy(e3)[0])
-                    scale = max(1.0, x * np.abs(p1).max(),
-                                y * np.abs(p2).max())
-                    worst = max(worst, float(abs(value - want)) / scale)
-                    checked += 1
+                got += [(x, y, v) for y, v in zip(ys, values.tolist())]
+            best = optimum(params)
+            for f in (1.0, 0.5):
+                weights = PovmWeights(f * best.x, f * best.y)
+                got.append((weights.x, weights.y,
+                            build_povm(params, weights).min_eig_e3))
+            for x, y, value in got:
+                want = min(mpmath.eigsy(mpmath.eye(2) - x * m1 - y * m2)[0])
+                scale = max(1.0, x * np.abs(p1).max(), y * np.abs(p2).max())
+                worst = max(worst, float(abs(value - want)) / scale)
+                checked += 1
     assert checked >= 500
     assert worst <= 4 * np.finfo(float).eps

@@ -13,6 +13,7 @@ from entrot.qmath import (StateVector, apply_gate, expectation, fidelity,
                           project_out, psd_sqrt2)
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
@@ -236,8 +237,8 @@ def test_measure_qubit_rejects_bad_deviate():
 def test_expectation_on_product_state():
     plus = StateVector(("q",), np.array([1.0, 1.0]) / math.sqrt(2.0))
     s = plus.tensor(StateVector.basis(("r",), "0"))
-    assert expectation(s, qmath.SX, "q") == pytest.approx(1.0)
-    assert expectation(s, qmath.SX, "r") == pytest.approx(0.0)
+    assert expectation(s, SX, "q") == pytest.approx(1.0)
+    assert expectation(s, SX, "r") == pytest.approx(0.0)
     assert expectation(s, qmath.SZ, "r") == pytest.approx(1.0)
 
 
@@ -262,8 +263,8 @@ def test_measurement_probabilities_sum_to_one(seed):
     _, r1 = measure_qubit(s, "p", x, 0.999999999)
     assert r0.norm() == pytest.approx(1.0, abs=1e-12)
     assert r1.norm() == pytest.approx(1.0, abs=1e-12)
-    p_plus = expectation(s, (np.eye(2) + qmath.SX) / 2.0, "p")
-    p_minus = expectation(s, (np.eye(2) - qmath.SX) / 2.0, "p")
+    p_plus = expectation(s, (np.eye(2) + SX) / 2.0, "p")
+    p_minus = expectation(s, (np.eye(2) - SX) / 2.0, "p")
     assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
 
 
