@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Print a short hash of every seeded, byte-stable output of entrot.
+
+One line per case, ``<name> <sha256[:16]>``.  A CLI case hashes the exit
+code, stdout and stderr of one ``entrot`` invocation; a ``run_once``
+case hashes the final state amplitudes (their raw bytes), transcript,
+residual and Bell pairs of a fixed set of seeded single runs.  The
+package is imported from the usual path, so ``PYTHONPATH`` selects the
+checkout, and "byte-identical" between two checkouts is a ``diff``:
+
+    PYTHONPATH=../parent/src python3 scripts/fingerprint.py > parent.txt
+    PYTHONPATH=src python3 scripts/fingerprint.py > change.txt
+    diff parent.txt change.txt
+
+``--size full`` adds more trials, a larger sweep grid and
+``verify --level full``.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import math
+
+import numpy as np
+
+from entrot import ProtocolParams, haar_state, optimum, run_once
+from entrot.cli import main as cli_main
+from entrot.qmath import StateVector
+
+#: Per size: simulate trials, sweep points per axis, run_once seeds per
+#: point and mode, and whether ``verify --level full`` runs.
+SIZES = {"tiny": (400, 6, 4, False), "full": (20_000, 40, 32, True)}
+
+#: (theta, alpha) of the simulate and run_once cases: a case II and a
+#: case I optimum (branch 2 only occurs in case I), a Bell resource, and
+#: resources small enough that the POVM vectors reach 1e6 and 1e300.
+POINTS = (("0.25pi", "0.2pi"), ("0.2pi", "0.4pi"), ("0.1pi", "0.5pi"),
+          ("0.3", "1e-6"), ("0.3", "1e-300"))
+
+#: (theta, alpha) of the pmax cases, down to where the search oracle
+#: refuses a resource and the closed forms still answer.
+PMAX_POINTS = (("0.25pi", "0.2pi"), ("0.45pi", "0.12pi"), ("0.5pi", "0.5pi"),
+               ("0.3", "1e-6"), ("1e-200", "1e-200"))
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else str(part).encode())
+        h.update(b"\0")
+    return h.hexdigest()[:16]
+
+
+def _cli(*argv: str) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(list(argv))
+    return _digest(code, out.getvalue(), err.getvalue())
+
+
+def _run_once_digest(theta: float, alpha: float, deterministic: bool,
+                     seeds: int) -> str:
+    """Seeded single runs on a Haar input and on two basis inputs."""
+    params = ProtocolParams(theta, alpha)
+    weights = optimum(params).weights
+    rng = np.random.default_rng(11)
+    inputs = [haar_state(("A", "B"), rng.standard_normal(8)),
+              StateVector.basis(("A", "B"), "01"),
+              StateVector.basis(("B", "A"), "10")]
+    parts = []
+    for seed in range(seeds):
+        for state in inputs:
+            try:
+                out = run_once(params, weights, state, seed, deterministic)
+            except ValueError as exc:
+                parts.append(f"error: {exc}")
+                continue
+            parts += [out.branch, out.transcript, out.residual,
+                      out.bell_pairs_consumed, out.final_state.qubits,
+                      out.final_state.amps.tobytes()]
+    return _digest(*parts)
+
+
+def cases(size: str):
+    """``(name, digest)`` pairs, in a fixed order."""
+    trials, points, seeds, full = SIZES[size]
+    for theta, alpha in POINTS:
+        for state in ("random", "01", "10"):
+            for mode in ((), ("--deterministic",)):
+                for fmt in ((), ("--json",)):
+                    name = "simulate:" + ":".join(
+                        (theta, alpha, state, *mode, *fmt))
+                    yield name, _cli("simulate", "--theta", theta,
+                                     "--alpha", alpha, "--trials",
+                                     str(trials), "--seed", "5",
+                                     "--input", state, *mode, *fmt)
+    grid = ("--theta-grid", f"0.05pi:0.5pi:{points}",
+            "--alpha-grid", f"0.02pi:0.5pi:{points}")
+    yield "sweep:csv", _cli("sweep", *grid)
+    yield "sweep:json", _cli("sweep", *grid, "--json")
+    for theta, alpha in PMAX_POINTS:
+        for fmt in ((), ("--json",)):
+            yield (":".join(("pmax", theta, alpha, *fmt)),
+                   _cli("pmax", "--theta", theta, "--alpha", alpha, *fmt))
+    for fmt in ((), ("--json",)):
+        yield ":".join(("threshold", *fmt)), _cli("threshold", *fmt)
+    for level in ("quick", "full") if full else ("quick",):
+        for fmt in ((), ("--json",)):
+            yield (":".join(("verify", level, *fmt)),
+                   _cli("verify", "--level", level, *fmt))
+    for theta, alpha in POINTS:
+        for deterministic in (False, True):
+            name = ":".join(("run_once", theta, alpha,
+                             "deterministic" if deterministic else "plain"))
+            yield name, _run_once_digest(_angle(theta), _angle(alpha),
+                                         deterministic, seeds)
+
+
+def _angle(text: str) -> float:
+    return float(text[:-2]) * math.pi if text.endswith("pi") else float(text)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--size", choices=sorted(SIZES), default="tiny",
+                        help="tiny (default) or full")
+    args = parser.parse_args()
+    for name, digest in cases(args.size):
+        print(name, digest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

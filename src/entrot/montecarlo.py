@@ -56,6 +56,10 @@ __all__ = ["SummaryStats", "monte_carlo"]
 #: Trials are processed in blocks of this size to bound memory.
 _CHUNK = 1 << 16
 
+#: Fidelities are summed exactly, truncated to units of 2**-_FID_BITS,
+#: so the mean does not depend on how the trials are chunked.
+_FID_BITS = 53
+
 #: Stream tags mixed into the Philox key (high 64 bits).  Tag 0 is never
 #: used here: it is the plain single-run keying, and reusing it would
 #: make batch trials overlap with individually seeded runs.
@@ -87,6 +91,16 @@ def _haar_weights(rng: np.random.Generator, n: int) -> np.ndarray:
     weight = z[:, :4] ** 2 + z[:, 4:] ** 2
     weight /= weight.sum(axis=1, keepdims=True)
     return weight
+
+
+def _fid_units(fid: np.ndarray) -> int:
+    """Exact sum of ``fid`` in units of ``2**-_FID_BITS``, each truncated.
+
+    A unit count stays below ``2**54``; it is split into two 27-bit
+    halves, whose int64 sums cannot overflow for any chunk that fits in
+    memory."""
+    q = (fid * 2.0 ** _FID_BITS).astype(np.int64)
+    return (int((q >> 27).sum()) << 27) + int((q & ((1 << 27) - 1)).sum())
 
 
 def _bins(edges):
@@ -297,7 +311,7 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
     table = _transcript_table(params, weights, deterministic)
 
     counts = np.zeros(3, dtype=np.int64)
-    fid_sum = 0.0
+    fid_units = 0
     fid_n = 0
     bell_sum = 0
     done = 0
@@ -311,7 +325,7 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
         branch, fid, bell = _simulate_chunk(table, weight, draws)
         counts += np.bincount(branch, minlength=4)[1:4]
         have = ~np.isnan(fid)
-        fid_sum += float(fid[have].sum())
+        fid_units += _fid_units(fid[have])
         fid_n += int(have.sum())
         bell_sum += int(bell.sum())
         done += n
@@ -332,6 +346,6 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
         branch_counts=(int(counts[0]), int(counts[1]), int(counts[2])),
         success_count=success, empirical_p=empirical_p,
         analytic_p=analytic_p, z_score=z,
-        mean_fidelity=(fid_sum / fid_n) if fid_n else None,
+        mean_fidelity=(fid_units / (fid_n << _FID_BITS)) if fid_n else None,
         mean_bell_pairs=mean_bell,
         mean_ebits=resource_entropy(params.alpha) + mean_bell)

@@ -75,9 +75,8 @@ _Z_BASIS = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 def controlled_rotation(theta: float) -> np.ndarray:
     """The target two-qubit gate ``cos(t/2) I + i sin(t/2) sz x sz``."""
-    szsz = qmath.kron(qmath.SZ, qmath.SZ)
     return math.cos(theta / 2.0) * np.eye(4, dtype=complex) \
-        + 1j * math.sin(theta / 2.0) * szsz
+        + 1j * math.sin(theta / 2.0) * np.diag([1.0, -1.0, -1.0, 1.0])
 
 
 def wrap_angle(angle: float) -> float:
@@ -201,10 +200,11 @@ def step4_bob_povm(register: StateVector, povm: PovmSet,
     """Bob measures ``b`` with the three-element POVM.
 
     Branch selection: 1 when ``u < p1``, 2 when ``u < p1 + p2``, else 3
-    (branches below ``BRANCH_MIN_PROB`` are never selected).  For the
-    success branches the post-measurement ``b`` state factors out and is
-    removed; for branch 3 the register keeps ``b`` so the failure
-    analysis can measure it.
+    (branches below ``BRANCH_MIN_PROB`` are never selected).  The success
+    elements are rank one, ``E_i = w_i v_i v_i^T``, so a success outcome
+    is the projection of ``b`` onto ``v_i / |v_i|``, after which ``b`` is
+    removed.  Branch 3 applies the Kraus operator ``sqrt(E3)`` and keeps
+    ``b`` so the failure analysis can measure it.
     """
     if not povm.positive:
         raise ValueError(
@@ -228,13 +228,10 @@ def step4_bob_povm(register: StateVector, povm: PovmSet,
     if branch == 3:
         reg = qmath.apply_gate(register, povm.sqrt_e3, ("b",)).normalized()
         return branch, reg
-    kraus = qmath.psd_sqrt2(povm.e1 if branch == 1 else povm.e2)
-    reg = qmath.apply_gate(register, kraus, ("b",)).normalized()
-    # the b state left by a rank-one success outcome; the other branch's
-    # vector is never normalized, as it may overflow at a tiny alpha
+    # the other branch's vector is never normalized, as it may overflow at
+    # a tiny alpha
     v = povm_vectors(povm.params)[branch - 1]
-    reg = qmath.project_out(reg, "b", v / np.linalg.norm(v))
-    return branch, reg
+    return branch, qmath.project_out(register, "b", v / np.linalg.norm(v))
 
 
 def finish_success(branch: int, register: StateVector

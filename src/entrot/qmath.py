@@ -6,6 +6,12 @@ limited to four qubits (dimension 16), which is all the protocol ever
 needs.  The qubit listed first is the most significant bit of the
 amplitude index, matching the usual ``kron`` convention.
 
+Every operation on named qubits sees the register through one layout
+(:func:`_front`): the amplitudes as a ``(2**k, rest)`` matrix whose rows
+are indexed by the ``k`` target qubits and whose columns by the others,
+in register order.  A gate is then one matrix product, a projection a
+row vector times the matrix.
+
 All operations are pure: they return new values and never mutate their
 inputs.  Randomness never enters this module; sampling decisions are
 made by callers who pass an explicit uniform deviate where needed.
@@ -13,7 +19,6 @@ made by callers who pass an explicit uniform deviate where needed.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,8 +30,6 @@ __all__ = [
     "expectation",
     "fidelity",
     "haar_state",
-    "hermitian_eig2",
-    "kron",
     "measure_qubit",
     "project_out",
     "psd_sqrt2",
@@ -43,34 +46,13 @@ CLAMP_TOL = 1e-9
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
+def psd_sqrt2(m: np.ndarray) -> np.ndarray:
+    """Unique positive-semidefinite square root of a 2x2 Hermitian PSD matrix.
 
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two square operators, left factor most significant.
-
-    Both operand dimensions must be powers of two and the product must not
-    exceed ``MAX_DIM``; anything larger is a bug in the caller.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    for m in (a, b):
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or not _is_pow2(m.shape[0]):
-            raise ValueError(f"kron operand has invalid shape {m.shape}")
-    if a.shape[0] * b.shape[0] > MAX_DIM:
-        raise ValueError(
-            f"kron result dimension {a.shape[0] * b.shape[0]} exceeds {MAX_DIM}"
-        )
-    return np.kron(a, b)
-
-
-def hermitian_eig2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a 2x2 Hermitian matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and orthonormal
-    eigenvector columns ``v``.  Raises ``ValueError`` when the input is not
-    Hermitian within ``HERMITIAN_TOL``.
+    Raises ``ValueError`` when the input is not Hermitian within
+    ``HERMITIAN_TOL``.  Eigenvalues in ``[-CLAMP_TOL, 0)`` are clamped to
+    zero (they arise from round-off when the matrix sits on the positivity
+    boundary); anything more negative raises ``ValueError``.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
@@ -78,17 +60,6 @@ def hermitian_eig2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within 1e-12")
     w, v = np.linalg.eigh(m)
-    return w, v
-
-
-def psd_sqrt2(m: np.ndarray) -> np.ndarray:
-    """Unique positive-semidefinite square root of a 2x2 Hermitian PSD matrix.
-
-    Eigenvalues in ``[-CLAMP_TOL, 0)`` are clamped to zero (they arise from
-    round-off when the matrix sits on the positivity boundary); anything
-    more negative raises ``ValueError``.
-    """
-    w, v = hermitian_eig2(m)
     if w[0] < -CLAMP_TOL:
         raise ValueError(f"matrix is not PSD: smallest eigenvalue {w[0]:.3e}")
     w = np.clip(w, 0.0, None)
@@ -166,10 +137,7 @@ class StateVector:
         order = tuple(order)
         if sorted(order) != sorted(self.qubits):
             raise ValueError(f"{order} is not a permutation of {self.qubits}")
-        n = len(self.qubits)
-        src = [self.qubits.index(q) for q in order]
-        amps = self.amps.reshape((2,) * n).transpose(src).reshape(-1)
-        return StateVector(order, amps)
+        return StateVector(order, _front(self, order)[0].reshape(-1))
 
     def _axis(self, qubit: str) -> int:
         try:
@@ -181,6 +149,21 @@ class StateVector:
         return f"StateVector(qubits={self.qubits}, amps={np.array2string(self.amps, precision=5)})"
 
 
+def _front(state: StateVector,
+           targets: Sequence[str]) -> tuple[np.ndarray, list[int]]:
+    """The amplitudes as a ``(2**k, rest)`` matrix for ``k`` targets.
+
+    Rows are indexed by the targets (``targets[0]`` most significant),
+    columns by the other qubits in register order.  Also returns the
+    axis order used, which the inverse transpose needs.
+    """
+    axes = [state._axis(q) for q in targets]
+    n = len(state.qubits)
+    order = axes + [i for i in range(n) if i not in axes]
+    psi = state.amps.reshape((2,) * n).transpose(order)
+    return psi.reshape(2 ** len(axes), -1), order
+
+
 def apply_gate(state: StateVector, gate: np.ndarray,
                targets: Sequence[str]) -> StateVector:
     """Apply an operator to the named target qubits.
@@ -190,17 +173,12 @@ def apply_gate(state: StateVector, gate: np.ndarray,
     unitary (Kraus updates use this too), so the output norm equals the
     input norm only for unitary gates.
     """
-    targets = tuple(targets)
     gate = np.asarray(gate, dtype=complex)
     k = len(targets)
     if gate.shape != (2 ** k, 2 ** k):
         raise ValueError(f"gate shape {gate.shape} does not act on {k} qubit(s)")
-    axes = [state._axis(q) for q in targets]
-    n = len(state.qubits)
-    psi = state.amps.reshape((2,) * n)
-    g = gate.reshape((2,) * (2 * k))
-    out = np.tensordot(g, psi, axes=(tuple(range(k, 2 * k)), axes))
-    out = np.moveaxis(out, tuple(range(k)), axes)
+    m, order = _front(state, targets)
+    out = (gate @ m).reshape((2,) * len(order)).transpose(np.argsort(order))
     return StateVector(state.qubits, out.reshape(-1))
 
 
@@ -221,10 +199,8 @@ def fidelity(u: StateVector, v: StateVector) -> float:
 
 def _contract(state: StateVector, qubit: str, vector: np.ndarray) -> np.ndarray:
     """Amplitudes of ``<vector|_qubit psi>`` on the remaining qubits."""
-    ax = state._axis(qubit)
-    n = len(state.qubits)
-    psi = np.moveaxis(state.amps.reshape((2,) * n), ax, 0)
-    return np.tensordot(np.conj(vector), psi, axes=(0, 0)).reshape(-1)
+    bra = np.conj(np.asarray(vector, dtype=complex))
+    return bra @ _front(state, (qubit,))[0]
 
 
 def project_out(state: StateVector, qubit: str, vector: np.ndarray) -> StateVector:
@@ -236,8 +212,7 @@ def project_out(state: StateVector, qubit: str, vector: np.ndarray) -> StateVect
     rest = tuple(q for q in state.qubits if q != qubit)
     if not rest:
         raise ValueError("cannot remove the last qubit of a register")
-    reduced = _contract(state, qubit, np.asarray(vector, dtype=complex))
-    return StateVector(rest, reduced).normalized()
+    return StateVector(rest, _contract(state, qubit, vector)).normalized()
 
 
 def measure_qubit(state: StateVector, qubit: str,
@@ -252,10 +227,7 @@ def measure_qubit(state: StateVector, qubit: str,
     """
     if not 0.0 <= u < 1.0:
         raise ValueError(f"uniform deviate {u} outside [0, 1)")
-    v0 = np.asarray(basis[0], dtype=complex)
-    v1 = np.asarray(basis[1], dtype=complex)
-    r0 = _contract(state, qubit, v0)
-    r1 = _contract(state, qubit, v1)
+    r0, r1 = (_contract(state, qubit, v) for v in basis[:2])
     p0 = float(np.vdot(r0, r0).real)
     p1 = float(np.vdot(r1, r1).real)
     if p0 + p1 < 1e-300:
@@ -268,11 +240,8 @@ def measure_qubit(state: StateVector, qubit: str,
 
 def expectation(state: StateVector, op: np.ndarray, qubit: str) -> float:
     """Real expectation value of a Hermitian single-qubit operator."""
-    ax = state._axis(qubit)
-    n = len(state.qubits)
-    psi = np.moveaxis(state.amps.reshape((2,) * n), ax, -1).reshape(-1, 2)
-    op = np.asarray(op, dtype=complex)
-    return float(np.einsum("ij,jk,ik->", psi.conj(), op, psi).real)
+    m, _ = _front(state, (qubit,))
+    return float(np.vdot(m, np.asarray(op, dtype=complex) @ m).real)
 
 
 def haar_state(qubits: Sequence[str], normals: np.ndarray) -> StateVector:

@@ -206,12 +206,23 @@ def test_summary_is_bit_reproducible():
             or c.mean_fidelity != a.mean_fidelity)
 
 
+#: (theta, alpha, trials, seed, deterministic).  Summed as floats, the
+#: second case's fidelities gave a mean of ...04 at the default chunk
+#: size and ...02 at 257.
+CHUNK_CASES = [(0.41 * math.pi, 0.33 * math.pi, 1500, 9, True),
+               (0.29 * math.pi, 0.05 * math.pi, 5000, 1, False)]
+
+
 def test_chunking_does_not_change_results(monkeypatch):
-    params = ProtocolParams(0.41 * math.pi, 0.33 * math.pi)
-    whole = monte_carlo(params, trials=1500, seed=9, deterministic=True)
-    monkeypatch.setattr(montecarlo, "_CHUNK", 257)
-    pieces = monte_carlo(params, trials=1500, seed=9, deterministic=True)
-    assert whole == pieces
+    for theta, alpha, trials, seed, deterministic in CHUNK_CASES:
+        params = ProtocolParams(theta, alpha)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1 << 16)
+        whole = monte_carlo(params, trials=trials, seed=seed,
+                            deterministic=deterministic)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 257)
+        pieces = monte_carlo(params, trials=trials, seed=seed,
+                             deterministic=deterministic)
+        assert whole == pieces
 
 
 def test_fixed_input_is_reproducible():

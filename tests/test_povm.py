@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from entrot import cli, povm
 from entrot.entanglement import average_cost
+from entrot.montecarlo import monte_carlo
 from entrot.povm import (CaseLabel, HALF_PI, PovmWeights, ProtocolParams,
                          bell_conversion_prob, build_povm, det_e3,
                          discriminant, optimum, pmax_oracle, povm_vectors,
@@ -124,6 +125,23 @@ def test_infeasible_weights_are_flagged_not_rejected():
     s = build_povm(ProtocolParams(0.3, 0.3), PovmWeights(5.0, 5.0))
     assert not s.positive
     assert s.min_eig_e3 < -0.1
+
+
+@pytest.mark.parametrize("alpha", [1e-200, 1e-300])
+@pytest.mark.parametrize("x,y", [(1e-300, 0.0), (0.5, 0.0), (0.0, 0.5),
+                                 (0.5, 0.5)])
+def test_overflowing_elements_are_flagged_without_a_warning(alpha, x, y):
+    """Below alpha ~ 1e-154 a weighted element overflows.  The POVM is
+    then infeasible with a min eigenvalue of -inf, never NaN, and a run
+    stops on the one-line non-positive error; any RuntimeWarning fails
+    the test."""
+    params = ProtocolParams(0.3, alpha)
+    weights = PovmWeights(x, y)
+    s = build_povm(params, weights)
+    assert not s.positive and s.min_eig_e3 == -math.inf
+    with pytest.raises(ValueError,
+                       match=r"non-positive POVM \(min eigenvalue -inf\)"):
+        monte_carlo(params, trials=16, seed=0, weights=weights)
 
 
 def test_kraus_square_root_reproduces_first_element():

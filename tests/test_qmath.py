@@ -1,5 +1,6 @@
 """Linear-algebra layer: states, gates, measurements."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 
 from entrot import qmath
 from entrot.qmath import (StateVector, apply_gate, expectation, fidelity,
-                          haar_state, hermitian_eig2, kron, measure_qubit,
-                          project_out, psd_sqrt2)
+                          haar_state, measure_qubit, project_out, psd_sqrt2)
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -21,45 +21,11 @@ def random_state(rng, labels):
     return haar_state(labels, rng.standard_normal(2 ** (len(labels) + 1)))
 
 
-# ---------------------------------------------------------------- kron
+# ------------------------------------------------------ square root
 
-def test_kron_pauli_z_pair_is_diagonal_sign_pattern():
-    got = kron(qmath.SZ, qmath.SZ)
-    assert np.array_equal(got, np.diag([1.0, -1.0, -1.0, 1.0]))
-
-
-def test_kron_identity_left_and_right():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    got = kron(m, np.eye(2))  # blocks m[i, j] * I
-    assert got.shape == (4, 4)
-    assert got[0, 0] == 1.0 and got[0, 2] == 2.0 and got[2, 0] == 3.0
-    swapped = kron(np.eye(2), m)  # block-diagonal copies of m
-    assert swapped[2, 2] == 1.0 and swapped[2, 3] == 2.0 and swapped[0, 2] == 0.0
-
-
-def test_kron_rejects_oversized_result():
-    with pytest.raises(ValueError):
-        kron(np.eye(8), np.eye(4))
-
-
-def test_kron_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
-        kron(np.eye(3), np.eye(2))
-
-
-# ------------------------------------------------------ eigensolver
-
-def test_hermitian_eig2_known_matrix():
-    m = np.array([[1.0, -1j], [1j, 1.0]])
-    w, v = hermitian_eig2(m)
-    assert w == pytest.approx([0.0, 2.0], abs=1e-12)
-    recon = (v * w) @ v.conj().T
-    assert np.allclose(recon, m, atol=1e-12)
-
-
-def test_hermitian_eig2_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eig2(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_psd_sqrt2_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        psd_sqrt2(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_psd_sqrt2_squares_back():
@@ -153,7 +119,7 @@ def test_apply_two_qubit_gate_respects_target_order():
     s = random_state(rng, ("p", "q"))
     lower = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|
     upper = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
-    g = kron(lower, upper)  # maps |0>_first |1>_second -> |10>
+    g = np.kron(lower, upper)  # maps |0>_first |1>_second -> |10>
     a = apply_gate(s, g, ("p", "q"))
     b = apply_gate(s, g, ("q", "p"))
     assert a.amps[0b10] == pytest.approx(s.amps[0b01])
@@ -277,3 +243,67 @@ def test_unitaries_preserve_inner_products(seed):
     gu = apply_gate(apply_gate(u, CZ, ("p", "q")), H.astype(complex), ("q",))
     gv = apply_gate(apply_gate(v, CZ, ("p", "q")), H.astype(complex), ("q",))
     assert fidelity(gu, gv) == pytest.approx(before, abs=1e-12)
+
+
+# ------------------------------------- layout against dense operators
+
+REGISTER = ("p", "q", "r", "s")
+
+#: Every ordered tuple of distinct targets in REGISTER, of every length.
+TARGET_TUPLES = [t for k in range(1, 5)
+                 for t in itertools.permutations(REGISTER, k)]
+
+
+def _layout(targets):
+    """Permutation matrix taking register amplitudes to the order
+    ``targets`` first, then the other qubits in register order."""
+    order = list(targets) + [q for q in REGISTER if q not in targets]
+    perm = np.zeros((16, 16))
+    for i in range(16):
+        bits = format(i, "04b")
+        new = "".join(bits[REGISTER.index(q)] for q in order)
+        perm[int(new, 2), i] = 1.0
+    return perm
+
+
+def _dense(op, targets):
+    """``op`` on ``targets``, identity elsewhere, as a 16x16 matrix."""
+    perm = _layout(targets)
+    full = np.kron(op, np.eye(2 ** (4 - len(targets))))
+    return perm.T @ full @ perm
+
+
+def _complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0, exclude_max=True))
+def test_layout_matches_dense_operators(seed, u):
+    rng = np.random.default_rng(seed)
+    s = random_state(rng, REGISTER)
+    for targets in TARGET_TUPLES:
+        g = _complex_normal(rng, 2 ** len(targets), 2 ** len(targets))
+        got = apply_gate(s, g, targets)
+        assert got.qubits == REGISTER
+        assert np.abs(got.amps - _dense(g, targets) @ s.amps).max() <= 1e-12
+        if len(targets) > 1:
+            continue
+        (q,) = targets
+        rest = tuple(x for x in REGISTER if x != q)
+        h = _complex_normal(rng, 2, 2)
+        h = h + h.conj().T
+        want = np.vdot(s.amps, _dense(h, targets) @ s.amps).real
+        assert abs(expectation(s, h, q) - want) <= 1e-12
+        basis, _ = np.linalg.qr(_complex_normal(rng, 2, 2))
+        # row j of `rows` is <basis_j|_q psi> on the remaining qubits
+        rows = basis.conj().T @ (_layout(targets) @ s.amps).reshape(2, 8)
+        weight = np.sum(np.abs(rows) ** 2, axis=1)
+        outcome, post = measure_qubit(s, q, (basis[:, 0], basis[:, 1]), u)
+        assert outcome == (0 if u < weight[0] / weight.sum() else 1)
+        want = rows[outcome] / math.sqrt(weight[outcome])
+        assert post.qubits == rest
+        assert np.abs(post.amps - want).max() <= 1e-12
+        projected = project_out(s, q, basis[:, 1])
+        assert projected.qubits == rest
+        assert np.abs(projected.amps - rows[1] / math.sqrt(weight[1])).max() \
+            <= 1e-12

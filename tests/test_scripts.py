@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -74,3 +75,19 @@ def test_bench_script_schema(tmp_path, checkout_env):
         for stats in run["paths"].values():
             assert stats["n"] == 3  # the tiny size's timed calls
             assert 0.0 < stats["q1_s"] <= stats["median_s"] <= stats["q3_s"]
+
+
+def test_fingerprint_script(checkout_env):
+    """One well-formed line per uniquely named case, the same on a rerun."""
+    runs = [run_script(checkout_env, "fingerprint.py", "--size", "tiny")
+            for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    lines = runs[0].stdout.splitlines()
+    assert lines and all(re.fullmatch(r"\S+ [0-9a-f]{16}", line)
+                         for line in lines)
+    names = [line.split()[0] for line in lines]
+    assert len(set(names)) == len(names)
+    assert {name.split(":")[0] for name in names} == {
+        "simulate", "sweep", "pmax", "threshold", "verify", "run_once"}
+    assert runs[1].stdout == runs[0].stdout
