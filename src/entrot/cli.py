@@ -84,17 +84,15 @@ def _round12(obj):
     return obj
 
 
-def _emit_json(payload: dict, out=None) -> None:
-    (out or sys.stdout).write(
-        json.dumps(_round12(payload), indent=2) + "\n")
+def _emit_json(payload: dict) -> None:
+    sys.stdout.write(json.dumps(_round12(payload), indent=2) + "\n")
 
 
-def _emit_table(pairs: list[tuple[str, object]], out=None) -> None:
-    stream = out or sys.stdout
+def _emit_table(pairs: list[tuple[str, object]]) -> None:
     width = max(len(k) for k, _ in pairs)
     for key, value in pairs:
         text = _fmt(value) if isinstance(value, float) else str(value)
-        stream.write(f"{key.ljust(width)} = {text}\n")
+        sys.stdout.write(f"{key.ljust(width)} = {text}\n")
 
 
 def _cmd_pmax(args: argparse.Namespace) -> int:
@@ -161,9 +159,7 @@ def _input_state(text: str) -> StateVector | None:
     if text == "random":
         return None
     if len(text) == 2 and set(text) <= {"0", "1"}:
-        amps = np.zeros(4, dtype=complex)
-        amps[int(text, 2)] = 1.0
-        return StateVector(("A", "B"), amps)
+        return StateVector.basis(("A", "B"), text)
     raise ValueError(
         f"input must be 'random' or a 2-bit basis string like '01', got {text!r}")
 

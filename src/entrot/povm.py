@@ -124,7 +124,9 @@ class ProtocolParams:
         elif not 0.0 < self.theta <= HALF_PI:
             raise ValueError(f"theta must lie in (0, pi/2], got {self.theta!r}")
 
-    # Cached trig shorthands used throughout the closed forms.
+    # Plain trig properties, recomputed on each access (nothing is
+    # cached).  The half-angle pair builds the POVM vectors and the
+    # branch amplitudes; the optimum's closed forms use ``_trig``.
     @property
     def cos_half_alpha(self) -> float:
         return math.cos(self.alpha / 2)
@@ -404,6 +406,10 @@ def bell_conversion_prob(alpha: float) -> float:
 
 BOX = 1.2
 
+#: Bisection steps per ``y`` in :func:`_best_feasible_y`; 48 halvings of
+#: ``BOX`` leave an interval below 1e-14.
+_Y_BISECTIONS = 48
+
 #: The smallest resource angle :func:`pmax_oracle` accepts.  The entries
 #: of ``v2 v2^T`` grow like ``1 / sin(alpha/2)^2`` and overflow below
 #: ``alpha`` ~ 1e-154.
@@ -427,8 +433,8 @@ def _e3_min_eig(xs: np.ndarray, p1: np.ndarray, p2: np.ndarray):
     return min_eig
 
 
-def _best_feasible_y(xs: np.ndarray, p1: np.ndarray, p2: np.ndarray,
-                     iters: int = 48) -> np.ndarray:
+def _best_feasible_y(xs: np.ndarray, p1: np.ndarray,
+                     p2: np.ndarray) -> np.ndarray:
     """Largest feasible ``y`` in [0, BOX] for each ``x``, by bisection.
 
     Feasibility means the smallest eigenvalue of the assembled
@@ -444,7 +450,7 @@ def _best_feasible_y(xs: np.ndarray, p1: np.ndarray, p2: np.ndarray,
     hi = np.full_like(xs, BOX)
     top = min_eig(hi) >= -EIG_TOL
     lo[top] = BOX
-    for _ in range(iters):
+    for _ in range(_Y_BISECTIONS):
         mid = 0.5 * (lo + hi)
         ok = min_eig(mid) >= -EIG_TOL
         lo = np.where(ok, mid, lo)

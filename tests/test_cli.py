@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from entrot import cli, povm
+from entrot import cli, entanglement, povm, protocol
 from entrot.cli import _parse_angle, _parse_grid, main
 from entrot.entanglement import average_cost
 
@@ -398,6 +398,70 @@ def test_verify_catches_a_seeded_formula_bug(capsys, monkeypatch):
     assert code == 3
     assert "FAIL" in out
     assert "det_e3_formula" in err
+    assert "FAIL  det_e3_formula " in out
+    assert err.startswith("error: verification failed")
+
+
+def _shift_field(real, name, shift):
+    """``real`` with ``shift`` added to field ``name`` of its result."""
+    def corrupted(*args):
+        result = real(*args)
+        return dataclasses.replace(
+            result, **{name: getattr(result, name) + shift})
+    return corrupted
+
+
+def _raise_bracket(real):
+    def threshold_theta(tol=1e-4):
+        raise RuntimeError(
+            "threshold bracket (0.1 pi, 0.4 pi) does not straddle break-even")
+    return threshold_theta
+
+
+def _infeasible_optimum(real):
+    def optimum(params):
+        best = real(params)
+        return dataclasses.replace(best, x=best.x * 1.01 + 1e-3)
+    return optimum
+
+
+#: (level, module, attribute, corruption of the real function, the check
+#: that must fail).  One defect per identity the checks tie together.
+SEEDED_DEFECTS = {
+    "tr_e3": ("quick", povm, "tr_e3",
+              lambda real: lambda p, w: real(p, w) + 1e-6, "tr_e3_formula"),
+    "discriminant": ("quick", povm, "discriminant",
+                     lambda real: lambda p: -real(p),
+                     "discriminant_case_split"),
+    "build_povm": ("quick", povm, "build_povm",
+                   lambda real: _shift_field(real, "e3", 1e-9),
+                   "povm_completeness"),
+    "controlled_rotation": ("quick", protocol, "controlled_rotation",
+                            lambda real: lambda t: real(t + 1e-3),
+                            "protocol_success_fidelity"),
+    "average_cost": ("quick", entanglement, "average_cost",
+                     lambda real: _shift_field(real, "avg_cost", 1e-9),
+                     "cost_identity"),
+    "optimum": ("quick", povm, "optimum", _infeasible_optimum,
+                "optimum_feasible"),
+    "controlled_rotation_full": ("full", protocol, "controlled_rotation",
+                                 lambda real: lambda t: real(t + 1e-3),
+                                 "residual_reconstruction"),
+    "threshold_theta": ("full", entanglement, "threshold_theta",
+                        _raise_bracket, "break_even_angle"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SEEDED_DEFECTS))
+def test_verify_reports_each_seeded_defect(capsys, monkeypatch, defect):
+    """Each corrupted identity ends in exit 3 and a FAIL line naming its
+    check, including defects that make a check raise."""
+    level, module, attr, corrupt, check = SEEDED_DEFECTS[defect]
+    monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
+    code, out, err = run_cli(capsys, "verify", "--level", level)
+    assert code == 3
+    assert f"FAIL  {check} " in out
+    assert err.startswith("error: verification failed")
 
 
 # ------------------------------------------------------- entry points

@@ -1,7 +1,11 @@
 """Self-consistency check runner."""
 
+import subprocess
+import sys
+
 import pytest
 
+from entrot import verify
 from entrot.verify import CheckResult, all_passed, run_checks
 
 
@@ -40,3 +44,37 @@ def test_all_passed_flags_failures():
     good = CheckResult(name="x", passed=True, detail="d")
     bad = CheckResult(name="y", passed=False, detail="d")
     assert all_passed([good]) and not all_passed([good, bad])
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError),
+                                         (2 ** 64, ValueError),
+                                         (True, TypeError),
+                                         (1.5, TypeError)])
+def test_seed_outside_the_stream_domain_rejected(seed, error):
+    """Only integers in [0, 2**64) key a stream; -1 and 2**64 would
+    otherwise alias other channels' streams."""
+    with pytest.raises(error):
+        run_checks("quick", seed=seed)
+
+
+def test_a_raising_check_is_reported_as_failed(monkeypatch):
+    def broken(rng):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(verify._CHECKS, "tr_e3_formula", (True, broken))
+    results = {r.name: r for r in run_checks("quick")}
+    assert results["tr_e3_formula"] == CheckResult(
+        "tr_e3_formula", False, "raised RuntimeError: boom")
+    assert all(r.passed for name, r in results.items()
+               if name != "tr_e3_formula")
+
+
+def test_import_leaves_numpy_random_unloaded(checkout_env):
+    """The check registry costs nothing at import: ``numpy.random`` (about
+    5 MB of resident memory) loads only when a stream is drawn."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, entrot; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=checkout_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
