@@ -57,11 +57,11 @@ def _paths(size: str, workdir: str):
     state = entrot.haar_state(("A", "B"), rng.standard_normal(8))
     seeds = itertools.count()
     grid = f"0.05pi:0.5pi:{points}"
-    out = os.path.join(workdir, "grid.csv")
 
-    def sweep():
+    def sweep(*fmt):
+        out = os.path.join(workdir, "grid.json" if fmt else "grid.csv")
         if cli_main(["sweep", "--theta-grid", grid, "--alpha-grid", grid,
-                     "--out", out]) != 0:
+                     "--out", out, *fmt]) != 0:
             raise RuntimeError("sweep failed")
 
     def oracle():
@@ -76,6 +76,7 @@ def _paths(size: str, workdir: str):
         ("run_once", lambda: entrot.run_once(params, weights, state,
                                              seed=next(seeds))),
         ("sweep", sweep),
+        ("sweep_json", lambda: sweep("--json")),
         ("pmax_oracle", oracle),
         ("threshold_theta", lambda: entrot.threshold_theta(1e-4)),
     ]
@@ -116,9 +117,9 @@ def main() -> int:
     parser.add_argument("--label", required=True,
                         help="name of this run in the file, e.g. parent")
     parser.add_argument("--size", choices=sorted(SIZES), default="full",
-                        help="full: 1e6 trials, a 400x400 sweep, 7 timed "
-                             "calls; tiny: a schema check in seconds "
-                             "(default full)")
+                        help="full: 1e6 trials, 400x400 sweeps (CSV and "
+                             "JSON), 7 timed calls; tiny: a schema check "
+                             "in seconds (default full)")
     args = parser.parse_args()
     out = pathlib.Path(args.out)
     doc = (json.loads(out.read_text(encoding="utf-8")) if out.exists()

@@ -28,8 +28,8 @@ import numpy as np
 from . import verify as verify_mod
 from .entanglement import _alpha_terms, _costs, threshold_theta
 from .montecarlo import monte_carlo
-from .povm import (_CASES, ProtocolParams, _case, _trig, det_e3,
-                   discriminant, optimum, tr_e3)
+from .povm import (_CASES, ProtocolParams, _case, _in_domain, _trig,
+                   det_e3, discriminant, optimum, tr_e3)
 from .qmath import StateVector
 
 __all__ = ["main"]
@@ -120,31 +120,51 @@ def _cmd_pmax(args: argparse.Namespace) -> int:
 _SWEEP_KEYS = ("theta_rad", "alpha_rad", "case", "x", "y", "p_max", "e_alpha",
                "avg_cost")
 
+#: One ``sweep`` row per format, cells in ``_SWEEP_KEYS`` order: ``%s``
+#: takes text formatted beforehand; CSV's ``%.12g`` writes what ``_fmt`` does.
+_CSV_ROW = "%s,%s,%s,%.12g,%.12g,%.12g,%s,%.12g"
+_JSON_ROW = ("    {\n" + ",\n".join(f'      "{k}": %s' for k in _SWEEP_KEYS)
+             + "\n    }")
+
+
+def _json_float(value: float) -> str:
+    """What ``json`` writes for ``_round12(value)``, for a finite value."""
+    return repr(float(f"{value:.12g}"))
+
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     with np.errstate(all="ignore"):  # an infinite span gives NaN, rejected below
         thetas = np.linspace(*args.theta_grid)
         alphas = np.linspace(*args.alpha_grid)
-    for theta in thetas.tolist():
-        for alpha in alphas.tolist():
-            ProtocolParams(theta, alpha)  # raises at the first invalid point
+    grid = np.broadcast_arrays(thetas[:, None], alphas)
+    ok = _in_domain(*grid)
+    if not ok.all():  # raise ProtocolParams' error at the first bad point
+        ProtocolParams(*(g.flat[np.argmin(ok)].item() for g in grid))
     ca, sa, e = _alpha_terms(alphas)
     cross, band, x, y, p, cost = _costs(*_trig(thetas[:, None]), ca, sa, e)
-    labels = np.array([label.value for label in _CASES])[_case(cross, band)]
-    columns = np.broadcast_arrays(thetas[:, None], alphas, labels, x, y, p,
-                                  e, cost)
-    rows = list(zip(*(c.ravel().tolist() for c in columns)))
+    fmt = _json_float if args.json else _fmt
+
+    def formatted(values: np.ndarray) -> list[str]:
+        return list(map(fmt, values.ravel().tolist()))
+
     if args.json:
-        text = json.dumps(_round12({
-            "theta_grid": list(args.theta_grid),
-            "alpha_grid": list(args.alpha_grid),
-            "rows": [dict(zip(_SWEEP_KEYS, row)) for row in rows],
-        }), indent=2) + "\n"
+        head = json.dumps(_round12({"theta_grid": list(args.theta_grid),
+                                    "alpha_grid": list(args.alpha_grid),
+                                    "rows": []}), indent=2)
+        # reopen the empty "rows" list that ends the head
+        head, sep, tail = head[:-len("[]\n}")] + "[\n", ",\n", "\n  ]\n}\n"
+        row, labels = _JSON_ROW, [json.dumps(c.value) for c in _CASES]
+        cells = [formatted(v) for v in (x, y, p, cost)]
     else:
-        lines = [",".join(_SWEEP_KEYS)]
-        lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in row)
-                  for row in rows]
-        text = "\n".join(lines) + "\n"
+        head, sep, tail = ",".join(_SWEEP_KEYS) + "\n", "\n", "\n"
+        row, labels = _CSV_ROW, [c.value for c in _CASES]
+        cells = [v.ravel().tolist() for v in (x, y, p, cost)]
+    n_t, n_a = len(thetas), len(alphas)
+    columns = ([t for t in formatted(thetas) for _ in range(n_a)],
+               formatted(alphas) * n_t,
+               [labels[i] for i in _case(cross, band).ravel().tolist()],
+               *cells[:3], formatted(e) * n_t, cells[3])
+    text = head + sep.join(map(row.__mod__, zip(*columns, strict=True))) + tail
     if args.out in (None, "-"):
         sys.stdout.write(text)
     else:

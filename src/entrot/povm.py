@@ -148,6 +148,16 @@ class ProtocolParams:
         return math.sin(self.theta)
 
 
+def _in_domain(theta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Elementwise: whether :class:`ProtocolParams` admits ``(theta,
+    alpha)``, by the same predicates as its ``__post_init__``."""
+    return (np.isfinite(theta) & np.isfinite(alpha)
+            & (0.0 < alpha) & (alpha <= HALF_PI) & (alpha >= _NORMAL_MIN)
+            & np.where(alpha == HALF_PI,
+                       (-math.pi < theta) & (theta <= math.pi),
+                       (0.0 < theta) & (theta <= HALF_PI)))
+
+
 @dataclass(frozen=True)
 class PovmWeights:
     """Nonnegative weights on the two success elements."""

@@ -12,6 +12,7 @@ a check that raises is reported as failed with the exception's text.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,8 +23,8 @@ from .qmath import apply_gate, fidelity, haar_state
 
 __all__ = ["CheckResult", "all_passed", "run_checks"]
 
-#: name -> (runs at the quick level, check).  A check draws from the
-#: shared stream and returns ``(passed, detail)``.
+#: name -> (runs at the quick level, check).  A check draws from its own
+#: stream and returns ``(passed, detail)``.
 _CHECKS: dict[str, tuple[bool, Callable[..., tuple[bool, str]]]] = {}
 
 
@@ -276,11 +277,14 @@ def _run(name: str, check: Callable[..., tuple[bool, str]],
 def run_checks(level: str = "quick", seed: int = 0) -> list[CheckResult]:
     """Run every check at the given level; returns one result per check.
 
-    The checks draw, in name order, from channel 3 of ``seed``."""
+    Each check draws from its own stream: channel 3 of ``seed``, jumped
+    by the CRC-32 of the check's name.  So a check's draws depend on its
+    name and the seed alone, not on which other checks run."""
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
-    rng = protocol._rng_from_seed(seed, 3)
-    return [_run(name, check, rng)
+    base = protocol._rng_from_seed(seed, 3).bit_generator
+    return [_run(name, check, np.random.Generator(
+                base.jumped(zlib.crc32(name.encode()))))
             for name, (quick, check) in sorted(_CHECKS.items())
             if quick or level == "full"]
 

@@ -180,18 +180,77 @@ def test_sweep_rows_equal_the_scalar_closed_forms(capsys, theta_grid,
     assert got == want
 
 
+def reference_sweep(theta_grid, alpha_grid, as_json):
+    """``sweep``'s output written cell by cell: ``_fmt`` on every CSV cell,
+    and one ``_round12``-ed dict per JSON row through ``json.dumps``."""
+    grids = _parse_grid(theta_grid), _parse_grid(alpha_grid)
+    thetas, alphas = (np.linspace(*g) for g in grids)
+    ca, sa, e = entanglement._alpha_terms(alphas)
+    cross, band, x, y, p, cost = entanglement._costs(
+        *povm._trig(thetas[:, None]), ca, sa, e)
+    labels = np.array([c.value for c in povm._CASES])[povm._case(cross, band)]
+    columns = np.broadcast_arrays(thetas[:, None], alphas, labels, x, y, p,
+                                  e, cost)
+    rows = list(zip(*(c.ravel().tolist() for c in columns)))
+    if as_json:
+        return json.dumps(cli._round12({
+            "theta_grid": list(grids[0]),
+            "alpha_grid": list(grids[1]),
+            "rows": [dict(zip(cli._SWEEP_KEYS, row)) for row in rows],
+        }), indent=2) + "\n"
+    lines = [",".join(cli._SWEEP_KEYS)]
+    lines += [",".join(v if isinstance(v, str) else cli._fmt(v) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("theta_grid,alpha_grid,case", [
+    ("2.3e-308:1e-300:4", "2.3e-308:1e-200:3", "II"),  # tiny angles
+    ("-0.99pi:1pi:9", "0.5pi:0.5pi:2", "I"),  # the Bell column, theta < 0
+    ("0.25pi:0.5pi:3", "0.25pi:0.5pi:3", "boundary"),
+    ("0.3:0.30000000000000004:2", "0.7:0.7000000000000001:2", "I"),  # 1 ulp
+    ("0.05pi:0.5pi:12", "1e-300:0.5pi:15", "II"),
+])
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_sweep_bytes_equal_the_cell_by_cell_reference(capsys, theta_grid,
+                                                      alpha_grid, case, fmt):
+    code, out, err = run_cli(capsys, "sweep", f"--theta-grid={theta_grid}",
+                             f"--alpha-grid={alpha_grid}", *fmt)
+    assert code == 0 and err == ""
+    assert out == reference_sweep(theta_grid, alpha_grid, bool(fmt))
+    assert f",{case}," in reference_sweep(theta_grid, alpha_grid, False)
+
+
 @pytest.mark.parametrize("grids,message", [
     (("0:0.5pi:5", "0.1pi:0.4pi:3"), "theta must lie in (0, pi/2], got 0.0"),
     (("0.1pi:0.4pi:3", "0:0.5pi:5"), "alpha must lie in (0, pi/2], got 0.0"),
     (("0.1pi:0.7pi:5", "0.1pi:0.4pi:3"),
      "theta must lie in (0, pi/2], got 1.7278759594743862"),
+    (("1:inf:3", "0.1pi:0.4pi:3"), "angles must be finite"),  # a NaN span
+    (("0.1pi:0.4pi:3", "1e-320:0.1pi:3"),
+     "alpha must be at least 2.2250738585072014e-308, the smallest normal "
+     "float, got 1e-320"),
+    (("0.1pi:0.4pi:3", "0.1pi:0.6pi:3"),
+     "alpha must lie in (0, pi/2], got 1.8849555921538759"),
+    # 0.6 pi is admitted in the Bell column, not at alpha = 0.4 pi
+    (("0.5pi:0.6pi:2", "0.4pi:0.5pi:2"),
+     "theta must lie in (0, pi/2], got 1.8849555921538759"),
+    (("-1pi:1pi:3", "0.5pi:0.5pi:2"),
+     "theta must lie in (-pi, pi] when alpha = pi/2, got -3.141592653589793"),
+    # five good rows first
+    (("0.1pi:0.6pi:6", "0.1pi:0.4pi:3"),
+     "theta must lie in (0, pi/2], got 1.8849555921538759"),
+    # the first bad point in row-major order is an alpha, though a later
+    # row also has a bad theta
+    (("0.1pi:0.7pi:3", "0.3pi:0.6pi:2"),
+     "alpha must lie in (0, pi/2], got 1.8849555921538759"),
 ])
 @pytest.mark.parametrize("fmt", [[], ["--json"]])
 def test_sweep_domain_errors_write_nothing(tmp_path, capsys, grids, message,
                                            fmt):
     path = tmp_path / "table.csv"
-    code, out, err = run_cli(capsys, "sweep", "--theta-grid", grids[0],
-                             "--alpha-grid", grids[1], "--out", str(path),
+    code, out, err = run_cli(capsys, "sweep", f"--theta-grid={grids[0]}",
+                             f"--alpha-grid={grids[1]}", "--out", str(path),
                              *fmt)
     assert code == 2
     assert out == "" and err == f"error: {message}\n"

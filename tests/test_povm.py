@@ -2,7 +2,9 @@
 
 import contextlib
 import io
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +42,31 @@ def test_params_allow_wide_theta_only_at_bell_resource():
         ProtocolParams(-2.0, 0.4 * math.pi)
     with pytest.raises(ValueError):
         ProtocolParams(math.pi + 1e-9, HALF_PI)
+
+
+#: Angles at and one ulp either side of every edge of the domain, with
+#: both signs, and the non-finite values.
+_EDGES = [sign * v for edge in (0.0, HALF_PI, math.pi, sys.float_info.min,
+                                5e-324, 1e-320)
+          for v in (math.nextafter(edge, -math.inf), edge,
+                    math.nextafter(edge, math.inf))
+          for sign in (1.0, -1.0)] + [math.inf, -math.inf, math.nan]
+
+
+def test_array_domain_check_agrees_with_the_constructor():
+    """``_in_domain`` admits exactly the points ``ProtocolParams`` admits,
+    over every pair of edge values."""
+    grid = np.meshgrid(_EDGES, _EDGES, indexing="ij")
+    got = povm._in_domain(*grid)
+    assert got.any() and not got.all()
+    for theta, alpha, admitted in zip(*(g.ravel().tolist()
+                                        for g in (*grid, got))):
+        try:
+            ProtocolParams(theta, alpha)
+        except ValueError:
+            assert not admitted, (theta, alpha)
+        else:
+            assert admitted, (theta, alpha)
 
 
 def test_trig_snaps_to_exact_zero_at_right_angles():
@@ -338,6 +365,25 @@ def test_closed_forms_are_total(theta, alpha):
         assert len(rows) == 4
         for row in rows:
             assert all(math.isfinite(float(v)) for v in row[:2] + row[3:])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        json_code = cli.main(["sweep", f"--theta-grid={theta!r}:{theta!r}:2",
+                              f"--alpha-grid={alpha!r}:{alpha!r}:2",
+                              "--json"])
+    assert json_code == code
+    if params is not None:
+        # sweep writes each number as its repr, which is JSON only when
+        # the number is finite
+        payload = json.loads(out.getvalue(), parse_constant=_reject)
+        assert len(payload["rows"]) == 4
+        numbers = payload["theta_grid"][:2] + payload["alpha_grid"][:2]
+        numbers += [v for row in payload["rows"] for v in row.values()
+                    if not isinstance(v, str)]
+        assert all(math.isfinite(v) for v in numbers)
+
+
+def _reject(name):
+    raise ValueError(f"non-finite JSON number {name}")
 
 
 def test_monotone_in_both_angles():

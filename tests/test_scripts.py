@@ -71,7 +71,7 @@ def test_bench_script_schema(tmp_path, checkout_env):
         assert isinstance(run["cpu_count"], int)
         assert set(run["paths"]) == {
             "monte_carlo", "monte_carlo_deterministic", "run_once", "sweep",
-            "pmax_oracle", "threshold_theta"}
+            "sweep_json", "pmax_oracle", "threshold_theta"}
         for stats in run["paths"].values():
             assert stats["n"] == 3  # the tiny size's timed calls
             assert 0.0 < stats["q1_s"] <= stats["median_s"] <= stats["q3_s"]

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -33,6 +34,26 @@ def test_results_are_seed_stable():
     a = run_checks("quick", seed=5)
     b = run_checks("quick", seed=5)
     assert a == b
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_each_check_reads_the_same_at_both_levels(seed):
+    """Both levels pass, and a quick check's result does not depend on
+    the full-only checks running beside it."""
+    quick = run_checks("quick", seed=seed)
+    full = {r.name: r for r in run_checks("full", seed=seed)}
+    assert all_passed(quick) and all_passed(full.values())
+    assert quick == [full[r.name] for r in quick]
+
+
+def test_adding_a_check_moves_no_other_checks_draws(monkeypatch):
+    names = list(verify._CHECKS)
+    assert len({zlib.crc32(name.encode()) for name in names}) == len(names)
+    before = run_checks("quick", seed=2)
+    monkeypatch.setitem(verify._CHECKS, "a_first_check", (True, lambda rng: (
+        True, f"drew {rng.uniform():.6f}")))
+    after = run_checks("quick", seed=2)
+    assert after[0].name == "a_first_check" and after[1:] == before
 
 
 def test_unknown_level_rejected():
