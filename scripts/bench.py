@@ -30,6 +30,7 @@ import numpy as np
 
 import entrot
 from entrot.cli import main as cli_main
+from entrot.montecarlo import _transcript_table
 
 #: Per size: Monte Carlo trials, sweep points per axis and timed calls
 #: per path.
@@ -75,6 +76,10 @@ def _paths(size: str, workdir: str):
             params, trials, seed=1, deterministic=True)),
         ("run_once", lambda: entrot.run_once(params, weights, state,
                                              seed=next(seeds))),
+        ("run_once_deterministic", lambda: entrot.run_once(
+            params, weights, state, seed=next(seeds), deterministic=True)),
+        ("transcript_table", lambda: _transcript_table(params, weights,
+                                                       deterministic=True)),
         ("sweep", sweep),
         ("sweep_json", lambda: sweep("--json")),
         ("pmax_oracle", oracle),

@@ -265,6 +265,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+#: argparse reads a separate ``-0.5pi`` as an option, not a value.
+_NEGATIVE_THETA = "; give a negative angle as --theta=-0.5pi"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrot",
@@ -275,7 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pmax", help="optimal success probability at one point")
     p.add_argument("--theta", type=_parse_angle, required=True,
-                   help="gate angle in (0, pi/2], radians or e.g. '0.25pi'")
+                   help="gate angle in (0, pi/2], radians or e.g. '0.25pi'; "
+                        "at alpha = pi/2 in (-pi, pi]" + _NEGATIVE_THETA)
     p.add_argument("--alpha", type=_parse_angle, required=True,
                    help="resource angle in (0, pi/2]")
     p.add_argument("--json", action="store_true", help="emit JSON")
@@ -283,7 +288,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="tabulate the optimum over a grid")
     p.add_argument("--theta-grid", type=_parse_grid, required=True,
-                   metavar="START:STOP:COUNT", help="e.g. '0.05pi:0.5pi:10'")
+                   metavar="START:STOP:COUNT",
+                   help="e.g. '0.05pi:0.5pi:10'; a negative start needs the "
+                        "= form, e.g. --theta-grid=-0.99pi:1pi:9")
     p.add_argument("--alpha-grid", type=_parse_grid, required=True,
                    metavar="START:STOP:COUNT")
     p.add_argument("--out", default=None, metavar="PATH",
@@ -293,7 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo protocol runs")
-    p.add_argument("--theta", type=_parse_angle, required=True)
+    p.add_argument("--theta", type=_parse_angle, required=True,
+                   help="gate angle, as for pmax" + _NEGATIVE_THETA)
     p.add_argument("--alpha", type=_parse_angle, required=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)

@@ -22,7 +22,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -231,7 +231,8 @@ def povm_vectors(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     c = params.cos_half_alpha
     s = params.sin_half_alpha
     ct = math.cos(params.theta / 2)
-    st = math.sin(params.theta / 2)
+    # + 0.0 turns -0.0 into 0.0: equal thetas, equal vectors
+    st = math.sin(params.theta / 2) + 0.0
     v1 = np.array([ct / c, st / s])
     v2 = np.array([st / c, -ct / s])
     return v1, v2
@@ -251,7 +252,20 @@ def build_povm(params: ProtocolParams, weights: PovmWeights) -> PovmSet:
     (:func:`_min_eig2`) with slack ``EIG_TOL``; ``E1`` and ``E2`` are PSD
     by construction.  A zero weight gives an exact zero element: at a
     tiny ``alpha`` the vectors overflow, and ``0 * inf`` would be NaN.
+
+    Sets are memoised on ``(params, weights)``, so every attempt at a
+    point shares one set and one ``sqrt_e3``.  Keys that compare equal
+    give the same bytes (a ``-0.0`` weight builds a zero element, as
+    ``0.0`` does), and a set and its arrays are read-only.  A shared
+    set's ``params`` and ``weights`` are the first caller's, equal to
+    every later caller's.
     """
+    return _povm_set(params, weights)
+
+
+@lru_cache(maxsize=64)
+def _povm_set(params: ProtocolParams, weights: PovmWeights) -> PovmSet:
+    """:func:`build_povm`'s work, once per distinct key."""
     v1, v2 = povm_vectors(params)
     # below alpha ~ 1e-154 an outer product can overflow to inf; that only
     # drives min_eig to -inf, which flags the weights infeasible

@@ -207,9 +207,10 @@ def step4_bob_povm(register: StateVector, povm: PovmSet,
     ``b`` so the failure analysis can measure it.
     """
     if not povm.positive:
+        # + 0.0: equal weights share one set, so -0.0 and 0.0 print alike
         raise ValueError(
-            f"weights ({povm.weights.x}, {povm.weights.y}) give a non-positive "
-            f"POVM (min eigenvalue {povm.min_eig_e3:.3e})")
+            f"weights ({povm.weights.x + 0.0}, {povm.weights.y + 0.0}) give a "
+            f"non-positive POVM (min eigenvalue {povm.min_eig_e3:.3e})")
     if not 0.0 <= u < 1.0:
         raise ValueError(f"uniform deviate {u} outside [0, 1)")
     p1 = qmath.expectation(register, povm.e1, "b")

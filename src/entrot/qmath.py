@@ -15,10 +15,21 @@ row vector times the matrix.
 All operations are pure: they return new values and never mutate their
 inputs.  Randomness never enters this module; sampling decisions are
 made by callers who pass an explicit uniform deviate where needed.
+
+The public :class:`StateVector` constructor checks everything.  Results
+of pure operations on states that are already valid (a gate, a
+normalization, a relabelling, a product, a reduced state) go through
+the private ``StateVector._of`` instead.  Their labels are unique and
+their size fits by construction (``tensor`` checks a product's size
+itself), so ``_of`` checks only that the amplitudes are finite, which
+catches overflow at a tiny ``alpha``.  Each register layout is computed
+once per (register, targets) pair (:func:`_layout`).
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -93,7 +104,20 @@ class StateVector:
             raise ValueError(
                 f"amplitude count {amps.size} does not fit register {qubits}"
             )
-        if not np.all(np.isfinite(amps.view(float))):
+        self._fill(qubits, amps)
+
+    @classmethod
+    def _of(cls, qubits: tuple[str, ...], amps: np.ndarray) -> "StateVector":
+        """A state from a pure operation on valid states: ``qubits`` a
+        tuple of unique labels and ``amps`` a flat complex array of the
+        matching size, which nothing else writes to."""
+        self = object.__new__(cls)
+        self._fill(qubits, amps)
+        return self
+
+    def _fill(self, qubits: tuple[str, ...], amps: np.ndarray) -> None:
+        """The check both constructors keep, then the frozen fields."""
+        if not np.isfinite(amps).all():
             raise ValueError("non-finite amplitude")
         amps.flags.writeable = False
         object.__setattr__(self, "qubits", qubits)
@@ -117,51 +141,64 @@ class StateVector:
         return self.amps.size
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        # the two real dots np.linalg.norm takes for a complex vector
+        re, im = self.amps.real, self.amps.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
 
     def normalized(self) -> "StateVector":
         n = self.norm()
         if n < 1e-300:
             raise ValueError("cannot normalize a zero state")
-        return StateVector(self.qubits, self.amps / n)
+        return StateVector._of(self.qubits, self.amps / n)
 
     def tensor(self, other: "StateVector") -> "StateVector":
         """Product state; ``self`` supplies the most significant qubits."""
         if set(self.qubits) & set(other.qubits):
             raise ValueError("tensor operands share qubit labels")
-        return StateVector(self.qubits + other.qubits,
-                           np.kron(self.amps, other.amps))
+        qubits = self.qubits + other.qubits
+        amps = np.multiply.outer(self.amps, other.amps).reshape(-1)
+        if amps.size > MAX_DIM:
+            raise ValueError(
+                f"amplitude count {amps.size} does not fit register {qubits}")
+        return StateVector._of(qubits, amps)
 
     def permuted(self, order: Sequence[str]) -> "StateVector":
         """Same state with the register relabelled into ``order``."""
         order = tuple(order)
         if sorted(order) != sorted(self.qubits):
             raise ValueError(f"{order} is not a permutation of {self.qubits}")
-        return StateVector(order, _front(self, order)[0].reshape(-1))
-
-    def _axis(self, qubit: str) -> int:
-        try:
-            return self.qubits.index(qubit)
-        except ValueError:
-            raise ValueError(f"no qubit {qubit!r} in register {self.qubits}") from None
+        return StateVector._of(order, _front(self, order)[0].reshape(-1))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StateVector(qubits={self.qubits}, amps={np.array2string(self.amps, precision=5)})"
 
 
+@lru_cache(maxsize=256)
+def _layout(qubits: tuple[str, ...], targets: tuple[str, ...]
+            ) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """``(order, rows, inverse)`` of :func:`_front`'s layout: the axis
+    order that puts ``targets`` first, the row count ``2**len(targets)``
+    and the axis order that undoes it."""
+    for q in targets:
+        if q not in qubits:
+            raise ValueError(f"no qubit {q!r} in register {qubits}")
+    axes = [qubits.index(q) for q in targets]
+    order = tuple(axes + [i for i in range(len(qubits)) if i not in axes])
+    inverse = tuple(sorted(range(len(order)), key=order.__getitem__))
+    return order, 2 ** len(axes), inverse
+
+
 def _front(state: StateVector,
-           targets: Sequence[str]) -> tuple[np.ndarray, list[int]]:
+           targets: Sequence[str]) -> tuple[np.ndarray, tuple[int, ...]]:
     """The amplitudes as a ``(2**k, rest)`` matrix for ``k`` targets.
 
     Rows are indexed by the targets (``targets[0]`` most significant),
     columns by the other qubits in register order.  Also returns the
-    axis order used, which the inverse transpose needs.
+    axis order that takes the matrix's axes back to register order.
     """
-    axes = [state._axis(q) for q in targets]
-    n = len(state.qubits)
-    order = axes + [i for i in range(n) if i not in axes]
-    psi = state.amps.reshape((2,) * n).transpose(order)
-    return psi.reshape(2 ** len(axes), -1), order
+    order, rows, inverse = _layout(state.qubits, tuple(targets))
+    psi = state.amps.reshape((2,) * len(state.qubits)).transpose(order)
+    return psi.reshape(rows, -1), inverse
 
 
 def apply_gate(state: StateVector, gate: np.ndarray,
@@ -177,9 +214,9 @@ def apply_gate(state: StateVector, gate: np.ndarray,
     k = len(targets)
     if gate.shape != (2 ** k, 2 ** k):
         raise ValueError(f"gate shape {gate.shape} does not act on {k} qubit(s)")
-    m, order = _front(state, targets)
-    out = (gate @ m).reshape((2,) * len(order)).transpose(np.argsort(order))
-    return StateVector(state.qubits, out.reshape(-1))
+    m, inverse = _front(state, targets)
+    out = (gate @ m).reshape((2,) * len(state.qubits)).transpose(inverse)
+    return StateVector._of(state.qubits, out.reshape(-1))
 
 
 def fidelity(u: StateVector, v: StateVector) -> float:
@@ -203,16 +240,23 @@ def _contract(state: StateVector, qubit: str, vector: np.ndarray) -> np.ndarray:
     return bra @ _front(state, (qubit,))[0]
 
 
+def _rest(state: StateVector, qubit: str) -> tuple[str, ...]:
+    """The labels left after removing ``qubit``, of which there must be
+    at least one."""
+    rest = tuple(q for q in state.qubits if q != qubit)
+    if not rest:
+        raise ValueError("cannot remove the last qubit of a register")
+    return rest
+
+
 def project_out(state: StateVector, qubit: str, vector: np.ndarray) -> StateVector:
     """Project ``qubit`` onto the single-qubit state ``vector`` and drop it.
 
     Returns the normalized conditional state of the remaining qubits.
     Raises when the projection has (numerically) zero weight.
     """
-    rest = tuple(q for q in state.qubits if q != qubit)
-    if not rest:
-        raise ValueError("cannot remove the last qubit of a register")
-    return StateVector(rest, _contract(state, qubit, vector)).normalized()
+    rest = _rest(state, qubit)
+    return StateVector._of(rest, _contract(state, qubit, vector)).normalized()
 
 
 def measure_qubit(state: StateVector, qubit: str,
@@ -227,15 +271,15 @@ def measure_qubit(state: StateVector, qubit: str,
     """
     if not 0.0 <= u < 1.0:
         raise ValueError(f"uniform deviate {u} outside [0, 1)")
+    rest = _rest(state, qubit)
     r0, r1 = (_contract(state, qubit, v) for v in basis[:2])
     p0 = float(np.vdot(r0, r0).real)
     p1 = float(np.vdot(r1, r1).real)
     if p0 + p1 < 1e-300:
         raise ValueError("state has no weight in the measurement basis")
     outcome = 0 if u < p0 / (p0 + p1) else 1
-    rest = tuple(q for q in state.qubits if q != qubit)
     reduced = r0 if outcome == 0 else r1
-    return outcome, StateVector(rest, reduced).normalized()
+    return outcome, StateVector._of(rest, reduced).normalized()
 
 
 def expectation(state: StateVector, op: np.ndarray, qubit: str) -> float:

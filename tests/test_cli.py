@@ -389,6 +389,25 @@ def test_pmax_discriminant_zero_is_unsigned(capsys):
     assert '"discriminant": 0.0,' in out
 
 
+def test_negative_angle_in_the_equals_form(capsys, monkeypatch):
+    """A negative angle is given as ``--theta=-0.5pi``; as a separate
+    word argparse reads it as an option, and the help says so."""
+    monkeypatch.setenv("COLUMNS", "200")  # no help line wraps
+    code, out, err = run_cli(capsys, "pmax", "--theta=-0.5pi",
+                             "--alpha", "0.5pi")
+    assert code == 0 and err == ""
+    assert float(table_value(out, "theta_rad")) == pytest.approx(-math.pi / 2)
+    code, out, err = run_cli(capsys, "pmax", "--theta", "-0.5pi",
+                             "--alpha", "0.5pi")
+    assert code == 2 and out == ""
+    assert "argument --theta: expected one argument" in err
+    for command, form in (("pmax", "--theta=-0.5pi"),
+                          ("simulate", "--theta=-0.5pi"),
+                          ("sweep", "--theta-grid=-0.99pi:1pi:9")):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0 and form in out
+
+
 def test_simulate_statistical_alarm_exits_3(capsys, monkeypatch):
     real = cli.monte_carlo
 

@@ -18,6 +18,8 @@ from entrot.povm import (CaseLabel, HALF_PI, PovmWeights, ProtocolParams,
                          bell_conversion_prob, build_povm, det_e3,
                          discriminant, optimum, pmax_oracle, povm_vectors,
                          tr_e3)
+from entrot.protocol import run_once
+from entrot.qmath import StateVector
 
 angles = st.floats(0.05 * math.pi, 0.5 * math.pi)
 
@@ -169,6 +171,58 @@ def test_overflowing_elements_are_flagged_without_a_warning(alpha, x, y):
     with pytest.raises(ValueError,
                        match=r"non-positive POVM \(min eigenvalue -inf\)"):
         monte_carlo(params, trials=16, seed=0, weights=weights)
+
+
+def _fresh(params, weights):
+    """``build_povm`` on an empty memo, with ``sqrt_e3`` computed."""
+    povm._povm_set.cache_clear()
+    s = build_povm(params, weights)
+    s.sqrt_e3
+    return s
+
+
+@pytest.mark.parametrize("one,other", [
+    ((ProtocolParams(0.3, 0.4), PovmWeights(-0.0, 0.02)),
+     (ProtocolParams(0.3, 0.4), PovmWeights(0.0, 0.02))),
+    ((ProtocolParams(0.3, 0.4), PovmWeights(0.01, -0.0)),
+     (ProtocolParams(0.3, 0.4), PovmWeights(0.01, 0.0))),
+    ((ProtocolParams(np.float64(0.3), np.float64(0.4)), PovmWeights(0.01, 0.02)),
+     (ProtocolParams(0.3, 0.4), PovmWeights(0.01, 0.02))),
+    ((ProtocolParams(-0.0, HALF_PI), PovmWeights(0.5, 0.5)),
+     (ProtocolParams(0.0, HALF_PI), PovmWeights(0.5, 0.5))),
+])
+def test_equal_keys_share_one_set_with_the_same_bytes(one, other):
+    """The memo hands a set built for one key to every equal key, so
+    equal keys must build byte-equal elements; whichever comes first."""
+    assert one == other
+    built = [_fresh(*one), _fresh(*other)]
+    for name in ("e1", "e2", "e3", "sqrt_e3"):
+        assert getattr(built[0], name).tobytes() == \
+            getattr(built[1], name).tobytes()
+    assert build_povm(*one) is built[1]  # the memo hit
+
+
+def test_memoised_sets_are_read_only():
+    s = build_povm(ProtocolParams(0.3, 0.4), PovmWeights(0.01, 0.02))
+    for name in ("e1", "e2", "e3", "sqrt_e3"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(s, name)[0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        s.e3 = np.eye(2)
+
+
+def test_non_positive_povm_stays_flagged_on_every_call():
+    """A memo hit is the same flagged set, and each run on it raises the
+    same message, whichever of two equal weights came first."""
+    params = ProtocolParams(0.3, 0.3)
+    state = StateVector.basis(("A", "B"), "00")
+    message = r"^weights \(0\.0, 5\.0\) give a non-positive POVM"
+    for weights in [PovmWeights(-0.0, 5.0), PovmWeights(0.0, 5.0)] * 2:
+        assert not build_povm(params, weights).positive
+        with pytest.raises(ValueError, match=message):
+            run_once(params, weights, state, seed=0)
+        with pytest.raises(ValueError, match=message):
+            monte_carlo(params, trials=16, seed=0, weights=weights)
 
 
 def test_kraus_square_root_reproduces_first_element():

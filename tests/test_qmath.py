@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,53 @@ def test_apply_gate_rejects_unknown_target_and_bad_shape():
         apply_gate(s, np.eye(2, dtype=complex), ("z",))
     with pytest.raises(ValueError):
         apply_gate(s, np.eye(4, dtype=complex), ("p",))
+
+
+# ------------------------------------- checks on the private results
+
+def test_results_of_operations_still_reject_non_finite_amplitudes():
+    """Results built by the private constructor skip the label and size
+    checks but keep the finiteness check: a gate or a product that
+    overflows raises, whatever numpy warns on the way."""
+    s = StateVector(("p", "q"), [1.0, 1.0, 0.0, 0.0])
+    huge = StateVector(("x",), [1e200, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^non-finite amplitude$"):
+            apply_gate(s, np.full((2, 2), 1.5e308), ("q",))
+        with pytest.raises(ValueError, match="^non-finite amplitude$"):
+            huge.tensor(StateVector(("y",), [1e200, 0.0]))
+
+
+def test_unknown_labels_are_named_by_every_register_operation():
+    """The cached layout raises, and never caches, the same message for
+    an unknown label on every path."""
+    s = StateVector.basis(("p", "q"), "00")
+    message = re.escape("no qubit 'z' in register ('p', 'q')")
+    z = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            apply_gate(s, np.eye(2, dtype=complex), ("z",))
+        with pytest.raises(ValueError, match=message):
+            apply_gate(s, CZ, ("p", "z"))
+        with pytest.raises(ValueError, match=message):
+            measure_qubit(s, "z", z, 0.5)
+        with pytest.raises(ValueError, match=message):
+            project_out(s, "z", z[0])
+
+
+def test_the_last_qubit_cannot_be_measured_away():
+    s = StateVector.basis(("q",), "0")
+    z = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="last qubit"):
+        measure_qubit(s, "q", z, 0.5)
+    with pytest.raises(ValueError, match="last qubit"):
+        project_out(s, "q", z[0])
+
+
+def test_tensor_keeps_the_size_cap():
+    s = StateVector(tuple("abc"), np.ones(8))
+    with pytest.raises(ValueError, match="does not fit register"):
+        s.tensor(StateVector(tuple("de"), np.ones(4)))
 
 
 # ------------------------------------------------------ measurements

@@ -70,7 +70,8 @@ def test_bench_script_schema(tmp_path, checkout_env):
         assert run["size"]["name"] == "tiny"
         assert isinstance(run["cpu_count"], int)
         assert set(run["paths"]) == {
-            "monte_carlo", "monte_carlo_deterministic", "run_once", "sweep",
+            "monte_carlo", "monte_carlo_deterministic", "run_once",
+            "run_once_deterministic", "transcript_table", "sweep",
             "sweep_json", "pmax_oracle", "threshold_theta"}
         for stats in run["paths"].values():
             assert stats["n"] == 3  # the tiny size's timed calls
