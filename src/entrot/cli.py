@@ -84,14 +84,23 @@ def _round12(obj):
     return obj
 
 
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(_round12(payload), indent=2) + "\n")
-
-
-def _emit_table(pairs: list[tuple[str, object]]) -> None:
+def _emit(payload: dict, as_json: bool) -> None:
+    """Write a report as indented JSON, or as a ``key = value`` table that
+    flattens one level of nesting as ``outer.inner`` and prints ``None``
+    as ``null``."""
+    if as_json:
+        sys.stdout.write(json.dumps(_round12(payload), indent=2) + "\n")
+        return
+    pairs = []
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            pairs += [(f"{key}.{k}", v) for k, v in value.items()]
+        else:
+            pairs.append((key, value))
     width = max(len(k) for k, _ in pairs)
     for key, value in pairs:
-        text = _fmt(value) if isinstance(value, float) else str(value)
+        text = ("null" if value is None else
+                _fmt(value) if isinstance(value, float) else str(value))
         sys.stdout.write(f"{key.ljust(width)} = {text}\n")
 
 
@@ -110,10 +119,7 @@ def _cmd_pmax(args: argparse.Namespace) -> int:
         "tr_e3": tr_e3(params, w),
         "det_e3": det_e3(params, w),
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        _emit_table(list(payload.items()))
+    _emit(payload, args.json)
     return 0
 
 
@@ -211,15 +217,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "mean_bell_pairs": stats.mean_bell_pairs,
         "mean_ebits": stats.mean_ebits,
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        flat = [(f"params.{k}", v) for k, v in payload["params"].items()]
-        flat += [(k, v) for k, v in payload.items() if k != "params"]
-        flat = [(k, "null" if v is None else
-                 (str(v) if isinstance(v, (bool, list)) else v))
-                for k, v in flat]
-        _emit_table(flat)
+    _emit(payload, args.json)
     if abs(stats.z_score) > 5.0:
         print(f"error: success rate is {stats.z_score:.2f} sigma from the "
               f"closed form", file=sys.stderr)
@@ -234,10 +232,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         "threshold_rad": value,
         "threshold_pi": value / math.pi,
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        _emit_table(list(payload.items()))
+    _emit(payload, args.json)
     return 0
 
 
@@ -245,12 +240,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     results = verify_mod.run_checks(level=args.level)
     ok = verify_mod.all_passed(results)
     if args.json:
-        _emit_json({
+        _emit({
             "level": args.level,
             "all_passed": ok,
             "results": [{"name": r.name, "passed": r.passed,
                          "detail": r.detail} for r in results],
-        })
+        }, True)
     else:
         for r in results:
             sys.stdout.write(

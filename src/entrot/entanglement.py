@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import HALF_PI, ProtocolParams, _closed_form, _trig, _where, _xp
+from .povm import (HALF_PI, ProtocolParams, _check_alpha, _closed_form, _trig,
+                   _where, _xp)
 
 __all__ = [
     "EntanglementReport",
@@ -70,8 +71,7 @@ def resource_entropy(alpha: float) -> float:
     and ``sin(alpha/2)^2``, so this is their binary entropy: 0 as
     ``alpha -> 0`` and exactly 1 ebit at ``alpha = pi/2``.
     """
-    if not 0.0 < alpha <= HALF_PI:
-        raise ValueError(f"alpha must lie in (0, pi/2], got {alpha!r}")
+    _check_alpha(alpha)
     return float(_resource_entropy(alpha))
 
 

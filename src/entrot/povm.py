@@ -92,6 +92,16 @@ def _cos(angle):
     return _where(abs(c) < 1e-15, 0.0, c)
 
 
+def _check_alpha(alpha: float) -> None:
+    """Reject a resource angle outside (0, pi/2] or below ``_NORMAL_MIN``:
+    the one check on ``alpha`` for every function that takes it."""
+    if not 0.0 < alpha <= HALF_PI:
+        raise ValueError(f"alpha must lie in (0, pi/2], got {alpha!r}")
+    if alpha < _NORMAL_MIN:
+        raise ValueError(f"alpha must be at least {_NORMAL_MIN!r}, the "
+                         f"smallest normal float, got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Gate angle ``theta`` and resource angle ``alpha``, both in radians.
@@ -111,11 +121,7 @@ class ProtocolParams:
     def __post_init__(self):
         if not (math.isfinite(self.theta) and math.isfinite(self.alpha)):
             raise ValueError("angles must be finite")
-        if not 0.0 < self.alpha <= HALF_PI:
-            raise ValueError(f"alpha must lie in (0, pi/2], got {self.alpha!r}")
-        if self.alpha < _NORMAL_MIN:
-            raise ValueError(f"alpha must be at least {_NORMAL_MIN!r}, the "
-                             f"smallest normal float, got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if self.alpha == HALF_PI:
             if not -math.pi < self.theta <= math.pi:
                 raise ValueError(
@@ -150,7 +156,8 @@ class ProtocolParams:
 
 def _in_domain(theta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Elementwise: whether :class:`ProtocolParams` admits ``(theta,
-    alpha)``, by the same predicates as its ``__post_init__``."""
+    alpha)``, by the same predicates as its ``__post_init__`` and
+    :func:`_check_alpha`, as arrays."""
     return (np.isfinite(theta) & np.isfinite(alpha)
             & (0.0 < alpha) & (alpha <= HALF_PI) & (alpha >= _NORMAL_MIN)
             & np.where(alpha == HALF_PI,
@@ -263,6 +270,8 @@ def build_povm(params: ProtocolParams, weights: PovmWeights) -> PovmSet:
     return _povm_set(params, weights)
 
 
+# Split from build_povm, which perfbench/run.py traces by name: an
+# lru_cache object is not a plain function (tests/test_api.py).
 @lru_cache(maxsize=64)
 def _povm_set(params: ProtocolParams, weights: PovmWeights) -> PovmSet:
     """:func:`build_povm`'s work, once per distinct key."""
@@ -423,7 +432,7 @@ def bell_conversion_prob(alpha: float) -> float:
     ``2 sin(alpha/2)^2 = 1 - cos(alpha)``: the benchmark any direct
     protocol has to beat, since a Bell pair implements the gate surely.
     """
-    ProtocolParams(HALF_PI, alpha)  # reuse the domain check on alpha
+    _check_alpha(alpha)
     ca, sa = _trig(alpha)
     return _twice_complement(ca, 1.0, sa, 0.0, 1.0) / 2.0
 

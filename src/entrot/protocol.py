@@ -27,14 +27,15 @@ ever happens through the message objects returned by the steps.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from . import qmath
-from .povm import (HALF_PI, PovmSet, PovmWeights, ProtocolParams, build_povm,
-                   povm_vectors)
+from .povm import (HALF_PI, PovmSet, PovmWeights, ProtocolParams, _check_alpha,
+                   build_povm, povm_vectors)
 from .qmath import StateVector
 
 __all__ = [
@@ -149,8 +150,7 @@ class RunOutcome:
 
 def prepare_resource(alpha: float) -> StateVector:
     """The shared pair ``cos(a/2)|00> + i sin(a/2)|11>`` on ``(a, b)``."""
-    if not 0.0 < alpha <= HALF_PI:
-        raise ValueError(f"alpha must lie in (0, pi/2], got {alpha!r}")
+    _check_alpha(alpha)
     amps = [math.cos(alpha / 2.0), 0.0, 0.0, 1j * math.sin(alpha / 2.0)]
     return StateVector(("a", "b"), amps)
 
@@ -277,23 +277,17 @@ def recover_with_bell(state: StateVector, theta_remaining: float,
                       ) -> tuple[StateVector, list[ClassicalMessage], int]:
     """Apply the missing rotation with certainty by spending a Bell pair.
 
-    Reruns the whole protocol on ``state`` with a maximally entangled
-    resource (``alpha = pi/2``), where the optimal POVM is projective:
-    the failure element vanishes and both branches succeed.  A zero
+    One attempt on ``state`` at a Bell resource (``alpha = pi/2``), with
+    draws ``u_x`` and ``u_povm``: there the POVM is projective, so the
+    failure element vanishes and both branches succeed.  A zero
     ``theta_remaining`` is a no-op and consumes nothing.  Returns the
     new state, the recovery messages and the number of pairs spent.
     """
     if theta_remaining == 0.0:
         return state, [], 0
-    params = ProtocolParams(theta_remaining, HALF_PI)
-    povm = build_povm(params, PovmWeights(0.5, 0.5))
-    reg = initial_register(HALF_PI, state)
-    reg, xmsg = step1_alice(reg, u_x)
-    reg = step2_bob(reg, xmsg)
-    reg = step3_bob(reg)
-    branch, reg = step4_bob_povm(reg, povm, u_povm)
-    reg, messages = finish_success(branch, reg)
-    return reg, [xmsg, *messages], 1
+    out = _execute(ProtocolParams(theta_remaining, HALF_PI),
+                   PovmWeights(0.5, 0.5), state, (u_x, u_povm), False, 0)
+    return out.final_state, list(out.transcript), 1
 
 
 def _rng_from_seed(seed: int, channel: int = 0) -> np.random.Generator:
@@ -311,11 +305,11 @@ def _rng_from_seed(seed: int, channel: int = 0) -> np.random.Generator:
 
 
 def _execute(params: ProtocolParams, weights: PovmWeights,
-             input_state: StateVector, draws: np.ndarray,
+             input_state: StateVector, draws: Sequence[float],
              deterministic: bool, seed: int) -> RunOutcome:
-    """Run one attempt with the five uniforms already drawn.
+    """Run one attempt with its uniforms already drawn.
 
-    Draw layout (unused entries are simply ignored):
+    Draw layout (entries past those the attempt reads may be left out):
     0 Alice's x outcome, 1 POVM branch, 2 failure b outcome,
     3 recovery x outcome, 4 recovery branch.
     """

@@ -57,6 +57,7 @@ CLAMP_TOL = 1e-9
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+# Public and by this name: perfbench/run.py traces it (tests/test_api.py).
 def psd_sqrt2(m: np.ndarray) -> np.ndarray:
     """Unique positive-semidefinite square root of a 2x2 Hermitian PSD matrix.
 

@@ -321,6 +321,21 @@ def test_simulate_table_mode(capsys):
     assert table_value(out, "trials") == "100"
 
 
+def test_simulate_report_writes_none_as_null(capsys):
+    """Every attempt fails, so there is no success fidelity to average."""
+    argv = ["simulate", "--theta", "0.5pi", "--alpha", "0.05pi",
+            "--trials", "2", "--seed", "0"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    for line in ("mean_fidelity    = null", "deterministic    = False",
+                 "branch_counts    = [0, 0, 2]"):
+        assert line in lines
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert '"mean_fidelity": null' in out
+
+
 def test_simulate_rejects_bad_input_string(capsys):
     for bad in ("2x", "012", "ab"):
         code, _, err = run_cli(capsys, "simulate", "--theta", "0.3pi",

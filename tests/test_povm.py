@@ -12,13 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrot import cli, povm
-from entrot.entanglement import average_cost
+from entrot.entanglement import average_cost, resource_entropy
 from entrot.montecarlo import monte_carlo
 from entrot.povm import (CaseLabel, HALF_PI, PovmWeights, ProtocolParams,
                          bell_conversion_prob, build_povm, det_e3,
                          discriminant, optimum, pmax_oracle, povm_vectors,
                          tr_e3)
-from entrot.protocol import run_once
+from entrot.protocol import prepare_resource, run_once
 from entrot.qmath import StateVector
 
 angles = st.floats(0.05 * math.pi, 0.5 * math.pi)
@@ -35,6 +35,25 @@ angles = st.floats(0.05 * math.pi, 0.5 * math.pi)
 def test_params_reject_out_of_range(theta, alpha):
     with pytest.raises(ValueError):
         ProtocolParams(theta, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.1, 2.0, 5e-324, 1e-310, math.nan])
+def test_every_alpha_taker_applies_the_one_rule(alpha):
+    """``ProtocolParams``, ``prepare_resource``, ``resource_entropy`` and
+    ``bell_conversion_prob`` reject a bad resource angle with one message.
+    A NaN fails the constructor's joint finiteness check first."""
+    takers = [lambda a: ProtocolParams(0.3, a), prepare_resource,
+              resource_entropy, bell_conversion_prob]
+    if math.isnan(alpha):
+        takers = takers[1:]
+    messages = set()
+    for take in takers:
+        with pytest.raises(ValueError) as info:
+            take(alpha)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+    if math.isnan(alpha):
+        assert messages == {"alpha must lie in (0, pi/2], got nan"}
 
 
 def test_params_allow_wide_theta_only_at_bell_resource():
