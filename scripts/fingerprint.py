@@ -4,9 +4,11 @@
 One line per case, ``<name> <sha256[:16]>``.  A CLI case hashes the exit
 code, stdout and stderr of one ``entrot`` invocation; a ``run_once``
 case hashes the final state amplitudes (their raw bytes), transcript,
-residual and Bell pairs of a fixed set of seeded single runs.  The
-package is imported from the usual path, so ``PYTHONPATH`` selects the
-checkout, and "byte-identical" between two checkouts is a ``diff``:
+residual and Bell pairs of a fixed set of seeded single runs; a
+``monte_carlo`` case hashes the ``repr`` of every ``SummaryStats`` field
+of one seeded batch with non-optimal weights, which the CLI never uses.
+The package is imported from the usual path, so ``PYTHONPATH`` selects
+the checkout, and "byte-identical" between two checkouts is a ``diff``:
 
     PYTHONPATH=../parent/src python3 scripts/fingerprint.py > parent.txt
     PYTHONPATH=src python3 scripts/fingerprint.py > change.txt
@@ -18,13 +20,15 @@ checkout, and "byte-identical" between two checkouts is a ``diff``:
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import math
 
 import numpy as np
 
-from entrot import ProtocolParams, haar_state, optimum, run_once
+from entrot import (PovmWeights, ProtocolParams, haar_state, monte_carlo,
+                    optimum, run_once)
 from entrot.cli import main as cli_main
 from entrot.qmath import StateVector
 
@@ -43,6 +47,11 @@ POINTS = (("0.25pi", "0.2pi"), ("0.2pi", "0.4pi"), ("0.1pi", "0.5pi"),
 PMAX_POINTS = (("0.25pi", "0.2pi"), ("0.45pi", "0.12pi"), ("0.5pi", "0.5pi"),
                ("0.3", "1e-6"), ("1e-200", "1e-200"))
 
+#: (theta, alpha) of the monte_carlo cases, run with the optimal weights
+#: scaled by ``MC_SCALE``: a Bell resource that fails, where the ``b = 1``
+#: residual leaves nothing to recover, and a case I point.
+MC_POINTS = (("1pi", "0.5pi"), ("0.45pi", "0.35pi"))
+MC_SCALE = 0.7
 
 #: (theta grid, alpha grid) of the ``sweep:edge`` cases: angles down to
 #: the smallest normal float, the Bell column with negative gate angles,
@@ -90,6 +99,18 @@ def _run_once_digest(theta: float, alpha: float, deterministic: bool,
     return _digest(*parts)
 
 
+def _monte_carlo_digest(theta: float, alpha: float, deterministic: bool,
+                        trials: int) -> str:
+    """One seeded batch on Haar inputs with the scaled optimal weights."""
+    params = ProtocolParams(theta, alpha)
+    best = optimum(params)
+    weights = PovmWeights(best.x * MC_SCALE, best.y * MC_SCALE)
+    stats = monte_carlo(params, trials, 5, weights=weights,
+                        deterministic=deterministic)
+    return _digest(*(repr(getattr(stats, field.name))
+                     for field in dataclasses.fields(stats)))
+
+
 def cases(size: str):
     """``(name, digest)`` pairs, in a fixed order."""
     trials, points, seeds, full = SIZES[size]
@@ -128,6 +149,12 @@ def cases(size: str):
                              "deterministic" if deterministic else "plain"))
             yield name, _run_once_digest(_angle(theta), _angle(alpha),
                                          deterministic, seeds)
+    for theta, alpha in MC_POINTS:
+        for deterministic in (False, True):
+            name = ":".join(("monte_carlo", theta, alpha,
+                             "deterministic" if deterministic else "plain"))
+            yield name, _monte_carlo_digest(_angle(theta), _angle(alpha),
+                                            deterministic, trials)
 
 
 def _angle(text: str) -> float:

@@ -18,21 +18,14 @@ leaf by the thresholds :func:`~entrot.protocol.run_once` applies, set
 at the constant probabilities (1/2 for a sign, ``x`` and ``x + y`` for
 the branch, the normalized ``c^2 r_j0^2 + s^2 r_j1^2`` for ``b``)
 instead of each state's Born weights, which equal them up to round-off.
-Its fidelity follows from the leaf's diagonal and the input.  So a
-batch trial and a single run given the same deviates pick the same
-branches unless a deviate falls within round-off of a threshold.  All
+Its fidelity follows from the leaf's diagonal and the input.  A
+failure's recovery leaves are the transcript table of the recovery
+attempt itself, walked the same way.  So a batch trial and a single run
+given the same deviates pick the same branches unless a deviate falls
+within round-off of a threshold.  A trial draws five deviates, one
+column each in the layout of :func:`~entrot.protocol._execute`.  All
 randomness derives from one 64-bit seed through counter-based streams,
 making every summary bit-for-bit reproducible.
-
-Draw layout per trial (columns of the decision matrix):
-
-==  =========================================
-0   Alice's x-basis outcome
-1   POVM branch
-2   failure b outcome
-3   recovery x-basis outcome (deterministic mode)
-4   recovery POVM branch (deterministic mode)
-==  =========================================
 """
 
 from __future__ import annotations
@@ -45,9 +38,9 @@ import numpy as np
 
 from .entanglement import resource_entropy
 from .povm import PovmSet, PovmWeights, ProtocolParams, build_povm, optimum
-from .protocol import (_check_input, _rng_from_seed, controlled_rotation,
-                       failure_residual, finish_success, initial_register,
-                       recover_with_bell, step1_alice, step2_bob, step3_bob,
+from .protocol import (_check_input, _recovery, _rng_from_seed,
+                       controlled_rotation, failure_residual, finish_success,
+                       initial_register, step1_alice, step2_bob, step3_bob,
                        step4_bob_povm, wrap_angle)
 from .qmath import StateVector
 
@@ -72,10 +65,8 @@ _INPUT_CHANNEL = 2
 _PROBE = StateVector(("A", "B"),
                      np.array([1.0, 2.0j, -3.0, -4.0j]) / math.sqrt(30.0))
 
-#: Deviate thresholds of a fair x-basis outcome, and of the recovery
-#: POVM's branches (weights 1/2, 1/2 at a Bell resource, never failing).
+#: Deviate threshold of a fair x-basis outcome.
 _SIGN_EDGES = (0.5,)
-_RECOVERY_EDGES = (0.5, 1.0)
 
 #: How far a leaf's diagonal may stray from unit modulus, and the leaf
 #: probabilities' sum from 1, before the table is rejected.
@@ -131,32 +122,20 @@ def _b_edge(povm: PovmSet) -> float:
     return float(pb[0] / (pb[0] + pb[1]))
 
 
-def _recovery_table(theta_remaining: float) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals and Bell pairs of the recovery, per (sign, branch) bin."""
-    phases = np.full((2, 3, 4), np.nan, dtype=complex)
-    bell = np.zeros((2, 3), dtype=np.int64)
-    for i, (_, u_x) in enumerate(_bins(_SIGN_EDGES)):
-        for k, (_, u_povm) in enumerate(_bins(_RECOVERY_EDGES)):
-            if u_povm is not None:
-                state, _, bell[i, k] = recover_with_bell(
-                    _PROBE, theta_remaining, u_x, u_povm)
-                phases[i, k] = _reading(state)
-    return phases, bell
-
-
 @dataclass(frozen=True, eq=False)
 class _TranscriptTable:
     """Every transcript of one attempt, one leaf per cell of deviate bins.
 
     Draw column ``k`` is cut into bins at ``edges[k]``; a trial's leaf is
-    the row-major index of its bins.  ``overlap`` holds each leaf's
-    diagonal times the conjugate target diagonal, NaN where a failure
-    is left unrecovered.
+    the row-major index of its bins.  ``phases`` holds each leaf's
+    diagonal, NaN where a failure is left unrecovered, and ``overlap``
+    the same times the conjugate target diagonal.
     """
 
     edges: tuple[np.ndarray, ...]
     branch: np.ndarray
     bell: np.ndarray
+    phases: np.ndarray
     overlap: np.ndarray
 
 
@@ -165,26 +144,30 @@ def _transcript_table(params: ProtocolParams, weights: PovmWeights,
     """Run the reference steps once per leaf on the probe.
 
     Prefixes are shared: steps 1-3 run once per sign and the POVM once
-    per branch bin, and each recovery sub-table, which depends only on
-    the ``b`` outcome, is built once and multiplied into its leaves.  A
-    column a transcript does not consult repeats the leaf along its axis.
+    per branch bin.  A failure's recovery depends only on the ``b``
+    outcome; its sub-table is this walk of the recovery attempt, built
+    once per outcome and multiplied into the failure's leaves.  A column
+    a transcript does not consult repeats the leaf along its axis.
     Raises ``ValueError`` for a non-positive POVM (from the POVM step),
     and when a leaf's probability or diagonal breaks the premise.
     """
     povm = build_povm(params, weights)
     edges = [_SIGN_EDGES, (weights.x, weights.x + weights.y)]
     if deterministic:
-        # column 2 is cut at the b threshold once a branch bin fails
-        edges += [(1.0,), _SIGN_EDGES, _RECOVERY_EDGES]
+        # columns 2-4 stay one whole bin until a failure cuts them at the
+        # b threshold and at the recovery attempt's own edges
+        edges += [(1.0,), (1.0,), (1.0, 1.0)]
     shape = tuple(len(e) + 1 for e in edges)
     phases = np.full(shape + (4,), np.nan, dtype=complex)
     branch = np.zeros(shape, dtype=np.int64)
     bell = np.zeros(shape, dtype=np.int64)
     b_bins = None
-    recovery: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    recovery: dict[int, _TranscriptTable | None] = {}
 
     start = initial_register(params.alpha, _PROBE)
     for i, (_, u_x) in enumerate(_bins(edges[0])):
+        if u_x is None:
+            continue
         reg, message = step1_alice(start, u_x)
         reg = step3_bob(step2_bob(reg, message))
         for k, (_, u_povm) in enumerate(_bins(edges[1])):
@@ -205,10 +188,16 @@ def _transcript_table(params: ProtocolParams, weights: PovmWeights,
                     continue
                 residual, rest = failure_residual(post, povm, u_b)
                 if residual.b_outcome not in recovery:
-                    recovery[residual.b_outcome] = _recovery_table(
+                    attempt = _recovery(
                         wrap_angle(params.theta - residual.theta_f))
-                rec_phases, bell[i, k, j] = recovery[residual.b_outcome]
-                phases[i, k, j] = _reading(rest) * rec_phases
+                    recovery[residual.b_outcome] = (
+                        attempt and _transcript_table(*attempt, False))
+                sub = recovery[residual.b_outcome]
+                phases[i, k, j] = _reading(rest)
+                if sub is not None:
+                    edges[3:] = sub.edges
+                    phases[i, k, j] *= sub.phases.reshape(shape[3:] + (4,))
+                    bell[i, k, j] = 1  # the recovery's resource, a Bell pair
 
     # Bin widths are clipped at 0, so each column's widths sum to at least
     # 1, with equality only for ordered edges in [0, 1].  Leaf
@@ -227,10 +216,11 @@ def _transcript_table(params: ProtocolParams, weights: PovmWeights,
             f"a transcript at {params} with {weights} does not act as a "
             f"diagonal unitary on the data")
     target = controlled_rotation(params.theta).diagonal()
+    phases = phases.reshape(-1, 4)
     return _TranscriptTable(
         edges=tuple(np.array(e, dtype=float) for e in edges),
-        branch=branch.reshape(-1), bell=bell.reshape(-1),
-        overlap=(target.conj() * phases).reshape(-1, 4))
+        branch=branch.reshape(-1), bell=bell.reshape(-1), phases=phases,
+        overlap=target.conj() * phases)
 
 
 def _simulate_chunk(table: _TranscriptTable, weight: np.ndarray,

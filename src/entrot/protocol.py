@@ -272,21 +272,31 @@ def failure_residual(register: StateVector, povm: PovmSet,
     return ResidualGate(theta_f=theta_f, b_outcome=j), reduced
 
 
+def _recovery(theta_remaining: float
+              ) -> tuple[ProtocolParams, PovmWeights] | None:
+    """The attempt that applies ``theta_remaining`` with certainty, or
+    None when nothing remains.  At a Bell resource (``alpha = pi/2``)
+    the POVM with weights (1/2, 1/2) is projective: its failure element
+    vanishes and both branches succeed."""
+    if theta_remaining == 0.0:
+        return None
+    return ProtocolParams(theta_remaining, HALF_PI), PovmWeights(0.5, 0.5)
+
+
 def recover_with_bell(state: StateVector, theta_remaining: float,
                       u_x: float, u_povm: float
                       ) -> tuple[StateVector, list[ClassicalMessage], int]:
     """Apply the missing rotation with certainty by spending a Bell pair.
 
-    One attempt on ``state`` at a Bell resource (``alpha = pi/2``), with
-    draws ``u_x`` and ``u_povm``: there the POVM is projective, so the
-    failure element vanishes and both branches succeed.  A zero
-    ``theta_remaining`` is a no-op and consumes nothing.  Returns the
-    new state, the recovery messages and the number of pairs spent.
+    Runs the :func:`_recovery` attempt on ``state`` with draws ``u_x``
+    and ``u_povm``.  A zero ``theta_remaining`` is a no-op and consumes
+    nothing.  Returns the new state, the recovery messages and the
+    number of pairs spent.
     """
-    if theta_remaining == 0.0:
+    attempt = _recovery(theta_remaining)
+    if attempt is None:
         return state, [], 0
-    out = _execute(ProtocolParams(theta_remaining, HALF_PI),
-                   PovmWeights(0.5, 0.5), state, (u_x, u_povm), False, 0)
+    out = _execute(*attempt, state, (u_x, u_povm), False, 0)
     return out.final_state, list(out.transcript), 1
 
 

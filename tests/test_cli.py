@@ -1,9 +1,12 @@
 """Command-line interface: formats, determinism and exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -11,10 +14,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrot import cli, entanglement, povm, protocol
 from entrot.cli import _parse_angle, _parse_grid, main
 from entrot.entanglement import average_cost
+from entrot.povm import HALF_PI
 
 THIRD_PI = "0.3333333333333333pi"
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -456,6 +462,80 @@ def test_threshold_tolerance_errors(capsys):
     code, _, err = run_cli(capsys, "threshold", "--tol", "0.5")
     assert code == 2
     assert err.startswith("error:")
+
+
+# ---------------------------------------------------------- totality
+
+def some(valid, anything):
+    """Mostly values from ``valid``, sometimes any from ``anything``."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else anything)
+
+
+#: Angles as a user types them: any float in radians or as a multiple of
+#: pi, weighted toward the documented domain and its ends.
+angle_text = some(
+    st.floats(1e-300, HALF_PI).map(repr)
+    | st.floats(1e-300, 0.5).map(lambda v: f"{v!r}pi")
+    | st.sampled_from(["0.5pi", "pi", "-0.99pi", "1e-300", "5e-324"]),
+    st.floats().map(repr) | st.floats(-2.0, 2.0).map(lambda v: f"{v!r}pi"))
+
+
+@st.composite
+def cli_argv(draw):
+    """One ``pmax``, ``simulate``, ``threshold`` or ``sweep`` command line,
+    every angle in the ``--flag=value`` form."""
+    command = draw(st.sampled_from(["pmax", "simulate", "threshold",
+                                    "sweep"]))
+    argv = [command] + (["--json"] if draw(st.booleans()) else [])
+    if command == "threshold":
+        tol = draw(some(st.floats(1e-6, 1e-3), st.floats()))
+        return argv + [f"--tol={tol!r}"]
+    if command == "sweep":
+        return argv + [
+            f"{flag}={draw(angle_text)}:{draw(angle_text)}:"
+            f"{draw(some(st.integers(2, 4), st.integers(max_value=4)))}"
+            for flag in ("--theta-grid", "--alpha-grid")]
+    argv += [f"--theta={draw(angle_text)}", f"--alpha={draw(angle_text)}"]
+    if command == "simulate":
+        trials = draw(some(st.integers(1, 64), st.integers(max_value=64)))
+        seed = draw(some(st.integers(0, 2 ** 64 - 1), st.integers()))
+        text = draw(some(st.sampled_from(["random", "00", "01", "10", "11"]),
+                         st.text(max_size=3)))
+        argv += [f"--trials={trials}", f"--seed={seed}", f"--input={text}"]
+        if draw(st.booleans()):
+            argv.append("--deterministic")
+    return argv
+
+
+@settings(max_examples=300)
+@given(cli_argv())
+def test_cli_is_total(argv):
+    """Every command line exits 0 with finite numbers, or 2 with one
+    ``error:`` line; ``simulate`` may also exit 3 with its one 5-sigma
+    line.  No run prints a traceback or raises a RuntimeWarning."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err
+    errors = [line for line in (out + err).splitlines() if "error:" in line]
+    if code == 0:
+        assert err == "" and out
+        numbers = []
+        for token in re.findall(r'[^\s,:"\[\]{}=]+', out):
+            try:
+                numbers.append(float(token))
+            except ValueError:
+                pass
+        assert all(math.isfinite(v) for v in numbers)
+    elif code == 3:
+        assert argv[0] == "simulate"
+        assert len(errors) == 1 and "sigma" in errors[0]
+    else:
+        assert code == 2 and out == ""
+        assert len(errors) == 1
 
 
 # ------------------------------------------------------------ verify

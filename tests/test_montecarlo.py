@@ -13,7 +13,8 @@ from entrot.entanglement import average_cost, resource_entropy
 from entrot.montecarlo import SummaryStats, monte_carlo
 from entrot.povm import (HALF_PI, PovmWeights, ProtocolParams, build_povm,
                          optimum)
-from entrot.protocol import (_execute, _rng_from_seed, controlled_rotation,
+from entrot.protocol import (_execute, _recovery, _rng_from_seed,
+                             controlled_rotation, recover_with_bell,
                              wrap_angle)
 from entrot.qmath import (StateVector, apply_gate, fidelity, haar_state,
                           psd_sqrt2)
@@ -43,6 +44,8 @@ EQUIVALENCE_CASES = {
     "bell_resource": (0.4 * math.pi, math.pi / 2, None, None, {1, 2}),
     "zero_weights": (0.3 * math.pi, 0.2 * math.pi, 0.0, None, {3}),
     "basis_input": (0.42 * math.pi, 0.31 * math.pi, 0.85, "10", {1, 2, 3}),
+    # E3 = 0.3 I, so the b = 1 residual is theta_f = pi: nothing remains
+    "bell_half_turn": (math.pi, math.pi / 2, 0.7, None, {1, 2, 3}),
 }
 
 
@@ -171,6 +174,27 @@ def test_constant_thresholds_match_born_weights(theta, alpha):
     assert mismatches == 0
 
 
+@pytest.mark.parametrize("remaining", [0.3, -2.9, math.pi, 1e-300, -1e-9])
+def test_walked_recovery_is_the_public_recovery(remaining):
+    """A failure's recovery sub-table is the transcript table of the
+    recovery attempt.  Each live leaf's diagonal is, bit for bit, what
+    ``recover_with_bell`` does to the probe at that leaf's deviates."""
+    sub = montecarlo._transcript_table(*_recovery(remaining), False)
+    leaves = set()
+    for u_x in (0.25, 0.75):
+        for u_povm in (0.25, 0.75):
+            leaf = 0
+            for u, edges in zip((u_x, u_povm), sub.edges):
+                leaf = leaf * (edges.size + 1) + int((u >= edges).sum())
+            leaves.add(leaf)
+            state, _, pairs = recover_with_bell(montecarlo._PROBE, remaining,
+                                                u_x, u_povm)
+            assert pairs == 1 and sub.bell[leaf] == 0
+            assert np.array_equal(sub.phases[leaf], montecarlo._reading(state))
+    assert len(leaves) == 4
+    assert _recovery(0.0) is None and _recovery(-0.0) is None
+
+
 def test_table_rejects_a_leaf_that_is_not_diagonal(monkeypatch):
     def scrambled(branch, register):
         amps = register.permuted(("A", "B")).amps[::-1]
@@ -184,7 +208,7 @@ def test_table_rejects_a_leaf_that_is_not_diagonal(monkeypatch):
 @pytest.mark.parametrize("name,value", [
     ("_b_edge", lambda *args: math.nan),        # not finite
     ("_b_edge", lambda *args: 1.5),             # a bin wider than 1
-    ("_RECOVERY_EDGES", (0.9, 1.05)),           # bins summing to 1.05
+    ("_SIGN_EDGES", (1.05,)),                   # bins summing to 1.05
 ], ids=["nan_edge", "bin_wider_than_1", "sum_above_1"])
 def test_table_rejects_probabilities_that_are_not_a_distribution(
         monkeypatch, name, value):

@@ -90,5 +90,6 @@ def test_fingerprint_script(checkout_env):
     names = [line.split()[0] for line in lines]
     assert len(set(names)) == len(names)
     assert {name.split(":")[0] for name in names} == {
-        "simulate", "sweep", "pmax", "threshold", "verify", "run_once"}
+        "simulate", "sweep", "pmax", "threshold", "verify", "run_once",
+        "monte_carlo"}
     assert runs[1].stdout == runs[0].stdout
