@@ -2,12 +2,16 @@
 """Time entrot's hot paths and record them in a JSON file.
 
 Each path is called once untimed, then timed a fixed number of times
-(per ``--size``) with ``time.perf_counter``; the file keeps the median,
-the quartiles and the count, per path, with the git revision, Python,
-numpy and CPU count of the run.  Runs are stored under ``--label``, so one file can hold a
-parent and a change measured on the same machine: a later run replaces
-only the run with its own label.  The package is imported from the
-usual path, so ``PYTHONPATH`` selects the checkout that is measured.
+with ``time.perf_counter``, in each of a few fresh processes run one
+after another (both counts per ``--size``).  Per path, the file keeps
+the median and quartiles of all the timed calls, the median of each
+process and both counts, with the git revision, Python, numpy and CPU
+count of the run: a spread between the process medians wider than the
+quartiles shows noise that one process does not.  Runs are stored under
+``--label``, so one file can hold a parent and a change measured on the
+same machine: a later run replaces only the run with its own label.  The
+package is imported from the usual path, so ``PYTHONPATH`` selects the
+checkout that is measured.
 
 Example:
     PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH.json
@@ -17,6 +21,7 @@ import argparse
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import platform
@@ -25,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -32,9 +38,9 @@ import entrot
 from entrot.cli import main as cli_main
 from entrot.montecarlo import _transcript_table
 
-#: Per size: Monte Carlo trials, sweep points per axis and timed calls
-#: per path.
-SIZES = {"full": (1_000_000, 400, 7), "tiny": (1_000, 5, 3)}
+#: Per size: Monte Carlo trials, sweep points per axis, timed calls per
+#: path and process, and processes.
+SIZES = {"full": (1_000_000, 400, 7, 3), "tiny": (1_000, 5, 3, 2)}
 
 
 def _revision(where: pathlib.Path) -> dict:
@@ -51,7 +57,7 @@ def _revision(where: pathlib.Path) -> dict:
 
 def _paths(size: str, workdir: str):
     """``(name, call)`` pairs; every call is independent of the last."""
-    trials, points, _ = SIZES[size]
+    trials, points, _, _ = SIZES[size]
     params = entrot.ProtocolParams(math.pi / 4, math.pi / 6)
     weights = entrot.optimum(params).weights
     rng = np.random.default_rng(7)
@@ -87,21 +93,37 @@ def _paths(size: str, workdir: str):
     ]
 
 
-def measure(size: str) -> dict:
-    trials, points, repeats = SIZES[size]
-    results = {}
+def _times(size: str) -> dict:
+    """Each path's timed calls in this process, in seconds."""
+    repeats = SIZES[size][2]
+    times = {}
     with tempfile.TemporaryDirectory(prefix="entrot-bench-") as workdir:
         for name, call in _paths(size, workdir):
             call()
-            times = []
+            times[name] = []
             for _ in range(repeats):
                 start = time.perf_counter()
                 call()
-                times.append(time.perf_counter() - start)
-            q1, median, q3 = statistics.quantiles(times, n=4,
-                                                  method="inclusive")
-            results[name] = {"median_s": median, "q1_s": q1, "q3_s": q3,
-                             "n": repeats}
+                times[name].append(time.perf_counter() - start)
+    return times
+
+
+def measure(size: str) -> dict:
+    trials, points, repeats, processes = SIZES[size]
+    runs = []
+    for _ in range(processes):
+        with ProcessPoolExecutor(
+                1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            runs.append(pool.submit(_times, size).result())
+    results = {}
+    for name in runs[0]:
+        q1, median, q3 = statistics.quantiles(
+            [t for run in runs for t in run[name]], n=4, method="inclusive")
+        results[name] = {
+            "median_s": median, "q1_s": q1, "q3_s": q3, "n": repeats,
+            "processes": processes,
+            "process_medians_s": [statistics.median(run[name])
+                                  for run in runs]}
     return {
         **_revision(pathlib.Path(entrot.__file__).parent),
         "entrot": entrot.__version__,
@@ -123,8 +145,8 @@ def main() -> int:
                         help="name of this run in the file, e.g. parent")
     parser.add_argument("--size", choices=sorted(SIZES), default="full",
                         help="full: 1e6 trials, 400x400 sweeps (CSV and "
-                             "JSON), 7 timed calls; tiny: a schema check "
-                             "in seconds (default full)")
+                             "JSON), 7 timed calls in each of 3 processes; "
+                             "tiny: a schema check in seconds (default full)")
     args = parser.parse_args()
     out = pathlib.Path(args.out)
     doc = (json.loads(out.read_text(encoding="utf-8")) if out.exists()

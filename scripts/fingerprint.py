@@ -53,12 +53,18 @@ PMAX_POINTS = (("0.25pi", "0.2pi"), ("0.45pi", "0.12pi"), ("0.5pi", "0.5pi"),
 MC_POINTS = (("1pi", "0.5pi"), ("0.45pi", "0.35pi"))
 MC_SCALE = 0.7
 
-#: (theta grid, alpha grid) of the ``sweep:edge`` cases: angles down to
-#: the smallest normal float, the Bell column with negative gate angles,
-#: and a grid through the case boundary at (pi/4, pi/4).
-EDGE_GRIDS = (("2.3e-308:1e-300:4", "2.3e-308:1e-200:3"),
-              ("-0.99pi:1pi:9", "0.5pi:0.5pi:2"),
-              ("0.25pi:0.5pi:3", "0.25pi:0.5pi:3"))
+#: (theta grid, alpha grid) pairs of the ``sweep:<name>:<format>`` cases,
+#: one hash per name and format.  ``edge``: angles down to the smallest
+#: normal float, the Bell column with negative gate angles, and a grid
+#: through the case boundary at (pi/4, pi/4).  ``edge:subnormal``: gate
+#: angles from the smallest subnormal float, whose JSON text ``%.12g``
+#: cannot write.
+EDGE_GRIDS = {
+    "edge": (("2.3e-308:1e-300:4", "2.3e-308:1e-200:3"),
+             ("-0.99pi:1pi:9", "0.5pi:0.5pi:2"),
+             ("0.25pi:0.5pi:3", "0.25pi:0.5pi:3")),
+    "edge:subnormal": (("5e-324:1e-300:5", "2.3e-308:0.5pi:7"),),
+}
 
 
 def _digest(*parts) -> str:
@@ -128,11 +134,12 @@ def cases(size: str):
             "--alpha-grid", f"0.02pi:0.5pi:{points}")
     yield "sweep:csv", _cli("sweep", *grid)
     yield "sweep:json", _cli("sweep", *grid, "--json")
-    for fmt in ("csv", "json"):
-        yield f"sweep:edge:{fmt}", _digest(*(
-            _cli("sweep", f"--theta-grid={theta}", f"--alpha-grid={alpha}",
-                 *(("--json",) if fmt == "json" else ()))
-            for theta, alpha in EDGE_GRIDS))
+    for name, grids in EDGE_GRIDS.items():
+        for fmt in ("csv", "json"):
+            yield f"sweep:{name}:{fmt}", _digest(*(
+                _cli("sweep", f"--theta-grid={theta}", f"--alpha-grid={alpha}",
+                     *(("--json",) if fmt == "json" else ()))
+                for theta, alpha in grids))
     for theta, alpha in PMAX_POINTS:
         for fmt in ((), ("--json",)):
             yield (":".join(("pmax", theta, alpha, *fmt)),

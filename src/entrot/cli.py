@@ -19,6 +19,8 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import sys
@@ -28,8 +30,8 @@ import numpy as np
 from . import verify as verify_mod
 from .entanglement import _alpha_terms, _costs, threshold_theta
 from .montecarlo import monte_carlo
-from .povm import (_CASES, ProtocolParams, _case, _in_domain, _trig,
-                   det_e3, discriminant, optimum, tr_e3)
+from .povm import (_CASES, _NORMAL_MIN, ProtocolParams, _case, _in_domain,
+                   _trig, det_e3, discriminant, optimum, tr_e3)
 from .qmath import StateVector
 
 __all__ = ["main"]
@@ -126,16 +128,79 @@ def _cmd_pmax(args: argparse.Namespace) -> int:
 _SWEEP_KEYS = ("theta_rad", "alpha_rad", "case", "x", "y", "p_max", "e_alpha",
                "avg_cost")
 
-#: One ``sweep`` row per format, cells in ``_SWEEP_KEYS`` order: ``%s``
-#: takes text formatted beforehand; CSV's ``%.12g`` writes what ``_fmt`` does.
+#: One CSV ``sweep`` row, cells in ``_SWEEP_KEYS`` order: ``%s`` takes text
+#: formatted beforehand; ``%.12g`` writes what ``_fmt`` does.
 _CSV_ROW = "%s,%s,%s,%.12g,%.12g,%.12g,%s,%.12g"
-_JSON_ROW = ("    {\n" + ",\n".join(f'      "{k}": %s' for k in _SWEEP_KEYS)
-             + "\n    }")
+
+#: How a JSON ``sweep`` row writes a number, by its ``_json_kinds``: as
+#: ``%.12g`` does, then with the ``.0`` that ``repr`` gives an integral
+#: float, or as text from ``_json_float``.
+_JSON_SPECS = ("%.12g", "%.12g.0", "%s")
+
+#: Points per block of whole theta rows that ``sweep`` formats and writes
+#: at once (at least one row), so that its memory does not grow with the
+#: grid.
+_SWEEP_BLOCK = 1 << 12
 
 
 def _json_float(value: float) -> str:
     """What ``json`` writes for ``_round12(value)``, for a finite value."""
     return repr(float(f"{value:.12g}"))
+
+
+def _csv_rows(columns: list, sep: str) -> str:
+    """CSV ``sweep`` rows joined by ``sep``, from ``columns`` as for
+    ``_json_rows``."""
+    cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns)
+    return sep.join(map(_CSV_ROW.__mod__, zip(*cells, strict=True)))
+
+
+def _json_kinds(values: np.ndarray) -> np.ndarray:
+    """Index into ``_JSON_SPECS`` per value: 0 or 1 where ``%.12g``
+    writes the digits of ``_json_float``, else 2.
+
+    A normal double tells any two 12-digit decimals apart, so ``repr`` of
+    the rounded value keeps its digits, and both forms switch to exponent
+    notation below 1e-4.  They differ in the ``.0`` of an integral value:
+    an integer is kind 1, and a value within 1e-11 (relative) of one,
+    which may round to it, kind 2.  A subnormal keeps fewer digits, and
+    from 1e12 up ``%g`` writes an exponent where ``repr`` does not; below
+    1e11, rounding cannot reach 1e12.
+    """
+    mag = np.abs(values)
+    off = np.abs(values - np.rint(values))
+    exact = (((mag == 0.0) | ((mag >= _NORMAL_MIN) & (mag < 1e11)))
+             & ((off == 0.0) | (off > 1e-11 * mag)))
+    return np.where(exact, off == 0.0, 2)
+
+
+def _json_rows(columns: list, sep: str) -> str:
+    """JSON ``sweep`` rows joined by ``sep``, from ``columns`` in
+    ``_SWEEP_KEYS`` order: lists of text and 1-D float arrays.
+
+    The rows whose numbers share their ``_json_kinds`` share a template,
+    one ``%`` per row; only kind-2 numbers are formatted one by one.
+    """
+    table = np.empty((len(columns), len(columns[0])), dtype=object)
+    row_kinds = 0  # the kinds of a row's numbers, one base-3 digit each
+    for i, column in enumerate(columns):
+        table[i] = column
+        if isinstance(column, np.ndarray):
+            row_kinds = row_kinds + _json_kinds(column) * 3**i
+    rows = np.empty(table.shape[1], dtype=object)
+    for kinds in np.flatnonzero(np.bincount(row_kinds)).tolist():
+        at = np.flatnonzero(row_kinds == kinds)
+        cells, specs = table[:, at].tolist(), []
+        for i, column in enumerate(columns):
+            spec = "%s"
+            if isinstance(column, np.ndarray):
+                spec = _JSON_SPECS[kinds // 3**i % 3]
+                if spec == "%s":
+                    cells[i] = list(map(_json_float, cells[i]))
+            specs.append(f'      "{_SWEEP_KEYS[i]}": {spec}')
+        template = "    {\n" + ",\n".join(specs) + "\n    }"
+        rows[at] = list(map(template.__mod__, zip(*cells, strict=True)))
+    return sep.join(rows.tolist())
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -147,35 +212,37 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not ok.all():  # raise ProtocolParams' error at the first bad point
         ProtocolParams(*(g.flat[np.argmin(ok)].item() for g in grid))
     ca, sa, e = _alpha_terms(alphas)
-    cross, band, x, y, p, cost = _costs(*_trig(thetas[:, None]), ca, sa, e)
-    fmt = _json_float if args.json else _fmt
-
-    def formatted(values: np.ndarray) -> list[str]:
-        return list(map(fmt, values.ravel().tolist()))
-
+    ct, st = _trig(thetas[:, None])
     if args.json:
         head = json.dumps(_round12({"theta_grid": list(args.theta_grid),
                                     "alpha_grid": list(args.alpha_grid),
                                     "rows": []}), indent=2)
         # reopen the empty "rows" list that ends the head
         head, sep, tail = head[:-len("[]\n}")] + "[\n", ",\n", "\n  ]\n}\n"
-        row, labels = _JSON_ROW, [json.dumps(c.value) for c in _CASES]
-        cells = [formatted(v) for v in (x, y, p, cost)]
+        fmt, labels = _json_float, [json.dumps(c.value) for c in _CASES]
     else:
         head, sep, tail = ",".join(_SWEEP_KEYS) + "\n", "\n", "\n"
-        row, labels = _CSV_ROW, [c.value for c in _CASES]
-        cells = [v.ravel().tolist() for v in (x, y, p, cost)]
-    n_t, n_a = len(thetas), len(alphas)
-    columns = ([t for t in formatted(thetas) for _ in range(n_a)],
-               formatted(alphas) * n_t,
-               [labels[i] for i in _case(cross, band).ravel().tolist()],
-               *cells[:3], formatted(e) * n_t, cells[3])
-    text = head + sep.join(map(row.__mod__, zip(*columns, strict=True))) + tail
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        fmt, labels = _fmt, [c.value for c in _CASES]
+    t_cells, a_cells, e_cells = (list(map(fmt, v.tolist()))
+                                 for v in (thetas, alphas, e))
+    n_a = len(alphas)
+    step = max(1, _SWEEP_BLOCK // n_a)
+    with (contextlib.nullcontext(sys.stdout) if args.out in (None, "-") else
+          open(args.out, "w", encoding="utf-8", newline="")) as fh:
+        fh.write(head)
+        for start in range(0, len(thetas), step):
+            rows = slice(start, start + step)
+            cross, band, *numbers = _costs(ct[rows], st[rows], ca, sa, e)
+            x, y, p, cost = (v.ravel() for v in numbers)
+            t_rows = t_cells[rows]
+            columns = [[t for t in t_rows for _ in range(n_a)],
+                       a_cells * len(t_rows),
+                       [labels[i] for i in _case(cross, band).ravel().tolist()],
+                       x, y, p, e_cells * len(t_rows), cost]
+            if start:
+                fh.write(sep)
+            fh.write((_json_rows if args.json else _csv_rows)(columns, sep))
+        fh.write(tail)
     return 0
 
 
@@ -264,7 +331,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 _NEGATIVE_THETA = "; give a negative angle as --theta=-0.5pi"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and reused after: it
+    keeps no state between ``parse_args`` calls."""
     parser = argparse.ArgumentParser(
         prog="entrot",
         description="Nonlocal controlled-rotation protocol: optimal POVM "

@@ -210,13 +210,18 @@ def reference_sweep(theta_grid, alpha_grid, as_json):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("theta_grid,alpha_grid,case", [
+#: (theta grid, alpha grid, a case label the grid's CSV holds).
+REFERENCE_GRIDS = [
     ("2.3e-308:1e-300:4", "2.3e-308:1e-200:3", "II"),  # tiny angles
     ("-0.99pi:1pi:9", "0.5pi:0.5pi:2", "I"),  # the Bell column, theta < 0
     ("0.25pi:0.5pi:3", "0.25pi:0.5pi:3", "boundary"),
     ("0.3:0.30000000000000004:2", "0.7:0.7000000000000001:2", "I"),  # 1 ulp
     ("0.05pi:0.5pi:12", "1e-300:0.5pi:15", "II"),
-])
+    ("5e-324:1e-300:5", "2.3e-308:0.5pi:7", "II"),  # subnormal gate angles
+]
+
+
+@pytest.mark.parametrize("theta_grid,alpha_grid,case", REFERENCE_GRIDS)
 @pytest.mark.parametrize("fmt", [[], ["--json"]])
 def test_sweep_bytes_equal_the_cell_by_cell_reference(capsys, theta_grid,
                                                       alpha_grid, case, fmt):
@@ -225,6 +230,90 @@ def test_sweep_bytes_equal_the_cell_by_cell_reference(capsys, theta_grid,
     assert code == 0 and err == ""
     assert out == reference_sweep(theta_grid, alpha_grid, bool(fmt))
     assert f",{case}," in reference_sweep(theta_grid, alpha_grid, False)
+
+
+@pytest.mark.parametrize("theta_grid,alpha_grid,case", REFERENCE_GRIDS)
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+@pytest.mark.parametrize("block", [1, 7])
+def test_sweep_blocks_join_to_the_one_block_output(tmp_path, monkeypatch,
+                                                   theta_grid, alpha_grid,
+                                                   case, fmt, block):
+    """Written a few theta rows at a time (one row for a 1-point block,
+    up to three for 7 points), the table is the one written at once, on
+    stdout and in a file."""
+    argv = ["sweep", f"--theta-grid={theta_grid}",
+            f"--alpha-grid={alpha_grid}", *fmt]
+
+    def output(points):
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK", points)
+        path = tmp_path / f"table-{points}"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+            assert main(argv + ["--out", str(path)]) == 0
+        assert path.read_text(encoding="utf-8") == out.getvalue()
+        return out.getvalue()
+
+    assert output(block) == output(1 << 40)
+
+
+#: Floats where ``%.12g`` and ``repr`` of its rounding part ways, or
+#: nearly: zeros, subnormals, integers and near-integers, and the
+#: exponent switches at 1e-4 (1e-5 on the other side) and 1e12.
+JSON_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     2.225073858507201e-308, 1e-4, 1e-5, 1e12, 1e11,
+                     999999999999.5, 99999999999.99, 0.99999999999995,
+                     9.99999999999995e-5]),
+    st.integers(-10**6, 10**6).map(float),
+    st.builds(lambda n, d: n + d, st.integers(-10**4, 10**4).map(float),
+              st.floats(-1e-13, 1e-13)),
+    *(st.floats(c * (1 - 1e-11), c * (1 + 1e-11)).map(lambda v, s=s: s * v)
+      for c in (1e-4, 1e-5, 1e12) for s in (1.0, -1.0)),
+    st.floats(-1e-300, 1e-300),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(JSON_NUMBERS, min_size=1, max_size=12))
+def test_json_numbers_are_the_rounded_repr(values):
+    """Every number a JSON sweep row writes is ``repr(float(f"{v:.12g}"))``,
+    what ``json`` writes for the rounded value, whatever its kind."""
+    n = len(values)
+    columns = [["0.5"] * n, ["0.25"] * n, ['"I"'] * n, np.array(values),
+               np.array(values[::-1]), np.array(values[1:] + values[:1]),
+               ["0.75"] * n, -np.array(values)]
+    want = [[repr(float(f"{v:.12g}")) for v in c.tolist()]
+            if isinstance(c, np.ndarray) else c for c in columns]
+    template = ("    {\n" + ",\n".join(f'      "{k}": %s'
+                                       for k in cli._SWEEP_KEYS) + "\n    }")
+    assert cli._json_rows(columns, ",\n") == ",\n".join(
+        template % row for row in zip(*want))
+
+
+def test_sweep_memory_is_bounded_by_the_block(tmp_path, checkout_env):
+    """A 400 x 400 JSON sweep, whose text is about 40 MB, raises the peak
+    RSS of its process by less than a quarter of that."""
+    script = (
+        "import os, resource, sys\n"
+        "from entrot.cli import main\n"
+        "def sweep(n):\n"
+        "    assert main(['sweep', '--theta-grid', f'0.05pi:0.5pi:{n}',\n"
+        "                 '--alpha-grid', f'0.02pi:0.5pi:{n}', '--json',\n"
+        "                 '--out', sys.argv[1]]) == 0\n"
+        "sweep(3)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "sweep(400)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(1024 * (after - before), os.path.getsize(sys.argv[1]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, tmp_path / "t.json"],
+                          capture_output=True, text=True, timeout=300,
+                          env=checkout_env)
+    assert proc.returncode == 0, proc.stderr
+    growth, size = map(int, proc.stdout.split())
+    assert size > 35_000_000
+    assert growth < size / 4
 
 
 @pytest.mark.parametrize("grids,message", [
@@ -638,6 +727,24 @@ def test_verify_reports_each_seeded_defect(capsys, monkeypatch, defect):
 
 
 # ------------------------------------------------------- entry points
+
+def test_one_process_runs_commands_as_fresh_ones(capsys, monkeypatch,
+                                                 checkout_env):
+    """``main`` reuses its parser: a command, a usage error and another
+    subcommand in one process give the bytes of three fresh processes."""
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = [["pmax", "--theta", "0.25pi", "--alpha", "0.2pi"],
+                ["sweep", "--theta-grid", "0:1"],
+                ["threshold", "--json"]]
+    in_process = [run_cli(capsys, *argv) for argv in commands]
+    assert [code for code, _, _ in in_process] == [0, 2, 0]
+    assert cli._build_parser() is cli._build_parser()
+    for argv, got in zip(commands, in_process):
+        proc = subprocess.run([sys.executable, "-m", "entrot", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**checkout_env, "COLUMNS": "80"})
+        assert got == (proc.returncode, proc.stdout, proc.stderr)
+
 
 def test_module_entry_point(checkout_env):
     proc = subprocess.run(

@@ -76,6 +76,9 @@ def test_bench_script_schema(tmp_path, checkout_env):
         for stats in run["paths"].values():
             assert stats["n"] == 3  # the tiny size's timed calls
             assert 0.0 < stats["q1_s"] <= stats["median_s"] <= stats["q3_s"]
+            assert stats["processes"] == 2  # and its processes
+            assert len(stats["process_medians_s"]) == 2
+            assert all(t > 0.0 for t in stats["process_medians_s"])
 
 
 def test_fingerprint_script(checkout_env):
