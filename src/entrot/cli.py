@@ -207,10 +207,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with np.errstate(all="ignore"):  # an infinite span gives NaN, rejected below
         thetas = np.linspace(*args.theta_grid)
         alphas = np.linspace(*args.alpha_grid)
-    grid = np.broadcast_arrays(thetas[:, None], alphas)
-    ok = _in_domain(*grid)
-    if not ok.all():  # raise ProtocolParams' error at the first bad point
-        ProtocolParams(*(g.flat[np.argmin(ok)].item() for g in grid))
+    n_a = len(alphas)
+    step = max(1, _SWEEP_BLOCK // n_a)
+    blocks = [slice(start, start + step)
+              for start in range(0, len(thetas), step)]
+    for rows in blocks:  # every point, before any byte is written
+        grid = np.broadcast_arrays(thetas[rows, None], alphas)
+        ok = _in_domain(*grid)
+        if not ok.all():  # raise ProtocolParams' error at the first bad point
+            ProtocolParams(*(g.flat[np.argmin(ok)].item() for g in grid))
     ca, sa, e = _alpha_terms(alphas)
     ct, st = _trig(thetas[:, None])
     if args.json:
@@ -225,13 +230,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fmt, labels = _fmt, [c.value for c in _CASES]
     t_cells, a_cells, e_cells = (list(map(fmt, v.tolist()))
                                  for v in (thetas, alphas, e))
-    n_a = len(alphas)
-    step = max(1, _SWEEP_BLOCK // n_a)
     with (contextlib.nullcontext(sys.stdout) if args.out in (None, "-") else
           open(args.out, "w", encoding="utf-8", newline="")) as fh:
         fh.write(head)
-        for start in range(0, len(thetas), step):
-            rows = slice(start, start + step)
+        for rows in blocks:
             cross, band, *numbers = _costs(ct[rows], st[rows], ca, sa, e)
             x, y, p, cost = (v.ravel() for v in numbers)
             t_rows = t_cells[rows]
@@ -239,7 +241,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                        a_cells * len(t_rows),
                        [labels[i] for i in _case(cross, band).ravel().tolist()],
                        x, y, p, e_cells * len(t_rows), cost]
-            if start:
+            if rows.start:
                 fh.write(sep)
             fh.write((_json_rows if args.json else _csv_rows)(columns, sep))
         fh.write(tail)

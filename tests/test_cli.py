@@ -257,6 +257,22 @@ def test_sweep_blocks_join_to_the_one_block_output(tmp_path, monkeypatch,
     assert output(block) == output(1 << 40)
 
 
+def test_json_sweep_rounds_per_axis_point_not_per_cell(capsys, monkeypatch):
+    """On a regular 60 x 60 grid, ``_json_float`` runs once per theta,
+    alpha and e_alpha value; the cells go through the row template."""
+    calls, json_float = [], cli._json_float
+
+    def counted(value):
+        calls.append(value)
+        return json_float(value)
+
+    monkeypatch.setattr(cli, "_json_float", counted)
+    code, out, _ = run_cli(capsys, "sweep", "--theta-grid", "0.05pi:0.45pi:60",
+                           "--alpha-grid", "0.1pi:0.5pi:60", "--json")
+    assert code == 0 and len(json.loads(out)["rows"]) == 3600
+    assert len(calls) == 3 * 60
+
+
 #: Floats where ``%.12g`` and ``repr`` of its rounding part ways, or
 #: nearly: zeros, subnormals, integers and near-integers, and the
 #: exponent switches at 1e-4 (1e-5 on the other side) and 1e12.
@@ -294,7 +310,8 @@ def test_json_numbers_are_the_rounded_repr(values):
 
 def test_sweep_memory_is_bounded_by_the_block(tmp_path, checkout_env):
     """A 400 x 400 JSON sweep, whose text is about 40 MB, raises the peak
-    RSS of its process by less than a quarter of that."""
+    RSS of its process by less than a quarter of that, domain check
+    included."""
     script = (
         "import os, resource, sys\n"
         "from entrot.cli import main\n"
@@ -316,7 +333,8 @@ def test_sweep_memory_is_bounded_by_the_block(tmp_path, checkout_env):
     assert growth < size / 4
 
 
-@pytest.mark.parametrize("grids,message", [
+#: (theta grid, alpha grid) and the error ``sweep`` stops on.
+DOMAIN_ERRORS = [
     (("0:0.5pi:5", "0.1pi:0.4pi:3"), "theta must lie in (0, pi/2], got 0.0"),
     (("0.1pi:0.4pi:3", "0:0.5pi:5"), "alpha must lie in (0, pi/2], got 0.0"),
     (("0.1pi:0.7pi:5", "0.1pi:0.4pi:3"),
@@ -339,7 +357,10 @@ def test_sweep_memory_is_bounded_by_the_block(tmp_path, checkout_env):
     # row also has a bad theta
     (("0.1pi:0.7pi:3", "0.3pi:0.6pi:2"),
      "alpha must lie in (0, pi/2], got 1.8849555921538759"),
-])
+]
+
+
+@pytest.mark.parametrize("grids,message", DOMAIN_ERRORS)
 @pytest.mark.parametrize("fmt", [[], ["--json"]])
 def test_sweep_domain_errors_write_nothing(tmp_path, capsys, grids, message,
                                            fmt):
@@ -347,6 +368,20 @@ def test_sweep_domain_errors_write_nothing(tmp_path, capsys, grids, message,
     code, out, err = run_cli(capsys, "sweep", f"--theta-grid={grids[0]}",
                              f"--alpha-grid={grids[1]}", "--out", str(path),
                              *fmt)
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("grids,message", DOMAIN_ERRORS)
+def test_sweep_checks_every_block_before_writing(tmp_path, capsys,
+                                                 monkeypatch, grids, message):
+    """Checked one theta row at a time, the grid still stops on its first
+    bad point in row order, with no byte written."""
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK", 1)
+    path = tmp_path / "table.csv"
+    code, out, err = run_cli(capsys, "sweep", f"--theta-grid={grids[0]}",
+                             f"--alpha-grid={grids[1]}", "--out", str(path))
     assert code == 2
     assert out == "" and err == f"error: {message}\n"
     assert not path.exists()
