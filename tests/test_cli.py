@@ -362,29 +362,19 @@ DOMAIN_ERRORS = [
 
 @pytest.mark.parametrize("grids,message", DOMAIN_ERRORS)
 @pytest.mark.parametrize("fmt", [[], ["--json"]])
-def test_sweep_domain_errors_write_nothing(tmp_path, capsys, grids, message,
-                                           fmt):
+def test_sweep_domain_errors_write_nothing(tmp_path, capsys, monkeypatch,
+                                           grids, message, fmt):
+    """The first bad point in row order stops the sweep before any byte
+    is written, also when the grid is checked one theta row at a time."""
     path = tmp_path / "table.csv"
-    code, out, err = run_cli(capsys, "sweep", f"--theta-grid={grids[0]}",
-                             f"--alpha-grid={grids[1]}", "--out", str(path),
-                             *fmt)
-    assert code == 2
-    assert out == "" and err == f"error: {message}\n"
-    assert not path.exists()
-
-
-@pytest.mark.parametrize("grids,message", DOMAIN_ERRORS)
-def test_sweep_checks_every_block_before_writing(tmp_path, capsys,
-                                                 monkeypatch, grids, message):
-    """Checked one theta row at a time, the grid still stops on its first
-    bad point in row order, with no byte written."""
-    monkeypatch.setattr(cli, "_SWEEP_BLOCK", 1)
-    path = tmp_path / "table.csv"
-    code, out, err = run_cli(capsys, "sweep", f"--theta-grid={grids[0]}",
-                             f"--alpha-grid={grids[1]}", "--out", str(path))
-    assert code == 2
-    assert out == "" and err == f"error: {message}\n"
-    assert not path.exists()
+    for block in (cli._SWEEP_BLOCK, 1):
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK", block)
+        code, out, err = run_cli(capsys, "sweep", f"--theta-grid={grids[0]}",
+                                 f"--alpha-grid={grids[1]}", "--out",
+                                 str(path), *fmt)
+        assert code == 2
+        assert out == "" and err == f"error: {message}\n"
+        assert not path.exists()
 
 
 def test_sweep_json_structure(capsys):
