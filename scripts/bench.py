@@ -5,9 +5,10 @@ Each path is called once untimed, then timed a fixed number of times
 with ``time.perf_counter``, in each of a few fresh processes run one
 after another (both counts per ``--size``).  Per path, the file keeps
 the median and quartiles of all the timed calls, the median of each
-process and both counts, with the git revision, Python, numpy and CPU
-count of the run: a spread between the process medians wider than the
-quartiles shows noise that one process does not.  Runs are stored under
+process and both counts, with the git revision, Python, numpy, CPU
+count and usable CPUs (the process's affinity set) of the run: a
+spread between the process medians wider than the quartiles shows
+noise that one process does not.  Runs are stored under
 ``--label``, so one file can hold a parent and a change measured on the
 same machine: a later run replaces only the run with its own label.  The
 package is imported from the usual path, so ``PYTHONPATH`` selects the
@@ -53,6 +54,13 @@ def _revision(where: pathlib.Path) -> dict:
     sha = git("rev-parse", "HEAD")
     status = git("status", "--porcelain", "--untracked-files=no")
     return {"git_sha": sha, "git_dirty": None if sha is None else bool(status)}
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which ``cpu_count`` ignores."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
 
 
 def _paths(size: str, workdir: str):
@@ -131,6 +139,7 @@ def measure(size: str) -> dict:
         "numpy": np.__version__,
         "machine": platform.platform(),
         "cpu_count": os.cpu_count(),
+        "usable_cpus": _usable_cpus(),
         "size": {"name": size, "monte_carlo_trials": trials,
                  "sweep_points_per_axis": points,
                  "pmax_oracle_resolution": 1e-5, "threshold_tol": 1e-4},

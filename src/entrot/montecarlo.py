@@ -31,6 +31,8 @@ making every summary bit-for-bit reproducible.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import reduce
 
@@ -46,8 +48,9 @@ from .qmath import StateVector
 
 __all__ = ["SummaryStats", "monte_carlo"]
 
-#: Trials are processed in blocks of this size to bound memory.
-_CHUNK = 1 << 16
+#: Trials are processed in blocks of this size to bound memory.  A small
+#: block also lets the input lookahead (:func:`_haar_blocks`) start soon.
+_CHUNK = 1 << 14
 
 #: Fidelities are summed exactly, truncated to units of 2**-_FID_BITS,
 #: so the mean does not depend on how the trials are chunked.
@@ -82,6 +85,59 @@ def _haar_weights(rng: np.random.Generator, n: int) -> np.ndarray:
     weight = z[:, :4] ** 2 + z[:, 4:] ** 2
     weight /= weight.sum(axis=1, keepdims=True)
     return weight
+
+
+def _spare_cpu() -> bool:
+    """Whether this process may run on a second CPU, where a helper
+    thread can work while the caller does."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _haar_blocks(rng: np.random.Generator, trials: int):
+    """Yield ``_haar_weights(rng, n)`` for ``trials`` trials in blocks of
+    ``_CHUNK``, in stream order.
+
+    Block 0 is drawn here.  Given a spare CPU, while the caller works on
+    block ``k`` one helper thread draws block ``k + 1`` (numpy releases
+    the GIL while it fills the normals); only that thread touches ``rng``
+    until it is joined.  On one CPU the two threads would only take
+    turns, so each block is drawn here when it is due.  Either way a
+    single block starts no thread, the bits are those of one sequential
+    draw, and an error in the helper is re-raised here.  Close the
+    generator to join a helper still running.
+    """
+    def draw(box, n):
+        try:
+            box.append(_haar_weights(rng, n))
+        except BaseException as exc:  # re-raised below, in the caller
+            box.append(exc)
+
+    ahead = trials > _CHUNK and _spare_cpu()
+    weight = _haar_weights(rng, min(_CHUNK, trials))
+    helper = None
+    try:
+        for done in range(_CHUNK, trials, _CHUNK):
+            n = min(_CHUNK, trials - done)
+            if not ahead:
+                yield weight
+                weight = _haar_weights(rng, n)
+                continue
+            box = []
+            helper = threading.Thread(target=draw, args=(box, n),
+                                      name="entrot-haar")
+            helper.start()
+            yield weight
+            helper.join()
+            helper = None
+            if isinstance(box[0], BaseException):
+                raise box[0]
+            weight = box[0]
+        yield weight
+    finally:
+        if helper is not None:
+            helper.join()
 
 
 def _fid_units(fid: np.ndarray) -> int:
@@ -300,25 +356,27 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
         weights = optimum(params).weights
     table = _transcript_table(params, weights, deterministic)
 
+    if fixed_weight is None:
+        blocks = _haar_blocks(in_rng, trials)
+    else:
+        blocks = (np.broadcast_to(fixed_weight,
+                                  (min(_CHUNK, trials - done), 4))
+                  for done in range(0, trials, _CHUNK))
     counts = np.zeros(3, dtype=np.int64)
     fid_units = 0
     fid_n = 0
     bell_sum = 0
-    done = 0
-    while done < trials:
-        n = min(_CHUNK, trials - done)
-        draws = dec_rng.random((n, 5))
-        if fixed_weight is None:
-            weight = _haar_weights(in_rng, n)
-        else:
-            weight = np.broadcast_to(fixed_weight, (n, 4))
-        branch, fid, bell = _simulate_chunk(table, weight, draws)
-        counts += np.bincount(branch, minlength=4)[1:4]
-        have = ~np.isnan(fid)
-        fid_units += _fid_units(fid[have])
-        fid_n += int(have.sum())
-        bell_sum += int(bell.sum())
-        done += n
+    try:
+        for weight in blocks:
+            draws = dec_rng.random((weight.shape[0], 5))
+            branch, fid, bell = _simulate_chunk(table, weight, draws)
+            counts += np.bincount(branch, minlength=4)[1:4]
+            have = ~np.isnan(fid)
+            fid_units += _fid_units(fid[have])
+            fid_n += int(have.sum())
+            bell_sum += int(bell.sum())
+    finally:
+        blocks.close()
 
     success = int(counts[0] + counts[1])
     empirical_p = success / trials

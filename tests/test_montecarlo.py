@@ -1,6 +1,9 @@
 """Batched sampling engine: agreement with single runs and statistics."""
 
 import math
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -232,9 +235,13 @@ def test_summary_is_bit_reproducible():
 
 #: (theta, alpha, trials, seed, deterministic).  Summed as floats, the
 #: second case's fidelities gave a mean of ...04 at the default chunk
-#: size and ...02 at 257.
+#: size and ...02 at 257.  The last two span four blocks at the default.
 CHUNK_CASES = [(0.41 * math.pi, 0.33 * math.pi, 1500, 9, True),
-               (0.29 * math.pi, 0.05 * math.pi, 5000, 1, False)]
+               (0.29 * math.pi, 0.05 * math.pi, 5000, 1, False),
+               (math.pi / 4, math.pi / 6, 3 * montecarlo._CHUNK + 1000, 12,
+                False),
+               (0.45 * math.pi, 0.35 * math.pi, 3 * montecarlo._CHUNK + 1000,
+                13, True)]
 
 
 def test_chunking_does_not_change_results(monkeypatch):
@@ -243,10 +250,12 @@ def test_chunking_does_not_change_results(monkeypatch):
         monkeypatch.setattr(montecarlo, "_CHUNK", 1 << 16)
         whole = monte_carlo(params, trials=trials, seed=seed,
                             deterministic=deterministic)
-        monkeypatch.setattr(montecarlo, "_CHUNK", 257)
-        pieces = monte_carlo(params, trials=trials, seed=seed,
-                             deterministic=deterministic)
-        assert whole == pieces
+        # the default, an odd size and one block for every case
+        for chunk in (1 << 14, 257, 1 << 40):
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            pieces = monte_carlo(params, trials=trials, seed=seed,
+                                 deterministic=deterministic)
+            assert whole == pieces, chunk
 
 
 def test_fixed_input_is_reproducible():
@@ -256,6 +265,148 @@ def test_fixed_input_is_reproducible():
     b = monte_carlo(params, trials=2000, seed=1, input_state=phi)
     assert a == b
     assert a.mean_fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+# ------------------------------------------------ input lookahead
+
+#: Haar inputs over four blocks: three helpers, one after another.
+LOOKAHEAD_TRIALS = 3 * montecarlo._CHUNK + 5
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Every helper thread ``monte_carlo`` starts, in order, on a host
+    taken to have a spare CPU."""
+    monkeypatch.setattr(montecarlo, "_spare_cpu", lambda: True)
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(montecarlo.threading, "Thread", Recorded)
+    return started
+
+
+def test_helper_never_outlives_the_call(helpers):
+    params = ProtocolParams(math.pi / 4, math.pi / 6)
+    before = set(threading.enumerate())
+    monte_carlo(params, trials=LOOKAHEAD_TRIALS, seed=3)
+    assert len(helpers) == 3
+    assert not any(t.is_alive() for t in helpers)
+    assert set(threading.enumerate()) == before
+
+
+def test_error_in_the_caller_joins_the_helper(helpers, monkeypatch):
+    """Block 2 fails while a helper, slowed down, draws block 3: the
+    error reaches the caller only after that helper has ended."""
+    params = ProtocolParams(math.pi / 4, math.pi / 6)
+    simulate = montecarlo._simulate_chunk
+    draw = montecarlo._haar_weights
+    blocks = []
+
+    def fails_on_block_2(*args):
+        blocks.append(len(blocks))
+        if len(blocks) == 3:
+            raise RuntimeError("block 2")
+        return simulate(*args)
+
+    def slow_off_the_caller(rng, n):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)
+        return draw(rng, n)
+
+    monkeypatch.setattr(montecarlo, "_simulate_chunk", fails_on_block_2)
+    monkeypatch.setattr(montecarlo, "_haar_weights", slow_off_the_caller)
+    before = set(threading.enumerate())
+    # the kept traceback holds the call's frame, and so its input blocks
+    with pytest.raises(RuntimeError, match="block 2") as caught:
+        monte_carlo(params, trials=LOOKAHEAD_TRIALS, seed=3)
+    assert len(helpers) == 3
+    assert not any(t.is_alive() for t in helpers)
+    assert set(threading.enumerate()) == before
+    assert caught.traceback
+
+
+def test_error_in_the_helper_reaches_the_caller(helpers, monkeypatch):
+    params = ProtocolParams(math.pi / 4, math.pi / 6)
+    draw = montecarlo._haar_weights
+    where = []
+
+    def fails_off_the_caller(rng, n):
+        where.append(threading.current_thread())
+        if where[-1] is not threading.main_thread():
+            raise FloatingPointError("in the helper")
+        return draw(rng, n)
+
+    hooked = []
+    monkeypatch.setattr(montecarlo, "_haar_weights", fails_off_the_caller)
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    before = set(threading.enumerate())
+    with pytest.raises(FloatingPointError, match="in the helper") as caught:
+        monte_carlo(params, trials=LOOKAHEAD_TRIALS, seed=3,
+                    deterministic=True)
+    assert where == [threading.main_thread(), helpers[0]]
+    assert hooked == []
+    assert not helpers[0].is_alive()
+    assert set(threading.enumerate()) == before
+    assert caught.traceback
+
+
+def test_lookahead_under_a_short_switch_interval(helpers, monkeypatch):
+    """Forty helpers, one after another, with the interpreter switching
+    threads as often as it can, give the one-block result."""
+    params = ProtocolParams(0.45 * math.pi, 0.35 * math.pi)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1 << 40)
+    whole = monte_carlo(params, trials=41 * 257, seed=8, deterministic=True)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 257)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pieces = monte_carlo(params, trials=41 * 257, seed=8,
+                             deterministic=True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(helpers) == 40
+    assert whole == pieces
+
+
+def _no_thread(*args, **kwargs):
+    raise AssertionError("monte_carlo started a thread")
+
+
+def test_one_block_calls_start_no_thread(monkeypatch):
+    """A call with one block of Haar inputs, or fixed inputs over any
+    number of blocks, runs in the caller's thread alone."""
+    monkeypatch.setattr(montecarlo, "_spare_cpu", lambda: True)
+    monkeypatch.setattr(montecarlo.threading, "Thread", _no_thread)
+    params = ProtocolParams(0.45 * math.pi, 0.35 * math.pi)
+    for deterministic in (False, True):
+        s = monte_carlo(params, trials=montecarlo._CHUNK, seed=4,
+                        deterministic=deterministic)
+        assert sum(s.branch_counts) == montecarlo._CHUNK
+    s = monte_carlo(params, trials=LOOKAHEAD_TRIALS, seed=4,
+                    input_state=StateVector.basis(("A", "B"), "10"))
+    assert sum(s.branch_counts) == LOOKAHEAD_TRIALS
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_one_usable_cpu_draws_in_the_caller(monkeypatch, deterministic):
+    """Where the process may run on one CPU only, Haar inputs over many
+    blocks start no thread and give the same result."""
+    params = ProtocolParams(math.pi / 4, math.pi / 6)
+    want = monte_carlo(params, trials=LOOKAHEAD_TRIALS, seed=5,
+                       deterministic=deterministic)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: {0, 3}, raising=False)
+    assert montecarlo._spare_cpu()
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: {3}, raising=False)
+    assert not montecarlo._spare_cpu()
+    monkeypatch.setattr(montecarlo.threading, "Thread", _no_thread)
+    assert monte_carlo(params, trials=LOOKAHEAD_TRIALS, seed=5,
+                       deterministic=deterministic) == want
 
 
 # -------------------------------------------------- statistics

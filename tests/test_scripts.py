@@ -66,9 +66,12 @@ def test_bench_script_schema(tmp_path, checkout_env):
     assert doc["schema"] == 1 and set(doc["runs"]) == {"parent", "change"}
     for label, run in doc["runs"].items():
         assert set(run) == {"git_sha", "git_dirty", "entrot", "python",
-                            "numpy", "machine", "cpu_count", "size", "paths"}
+                            "numpy", "machine", "cpu_count", "usable_cpus",
+                            "size", "paths"}
         assert run["size"]["name"] == "tiny"
         assert isinstance(run["cpu_count"], int)
+        assert isinstance(run["usable_cpus"], int)
+        assert 1 <= run["usable_cpus"] <= run["cpu_count"]
         assert set(run["paths"]) == {
             "monte_carlo", "monte_carlo_deterministic", "run_once",
             "run_once_deterministic", "transcript_table", "sweep",
