@@ -132,10 +132,10 @@ _SWEEP_KEYS = ("theta_rad", "alpha_rad", "case", "x", "y", "p_max", "e_alpha",
 #: formatted beforehand; ``%.12g`` writes what ``_fmt`` does.
 _CSV_ROW = "%s,%s,%s,%.12g,%.12g,%.12g,%s,%.12g"
 
-#: How a JSON ``sweep`` row writes a number, by its ``_json_kinds``: as
-#: ``%.12g`` does, then with the ``.0`` that ``repr`` gives an integral
-#: float, or as text from ``_json_float``.
-_JSON_SPECS = ("%.12g", "%.12g.0", "%s")
+#: One JSON ``sweep`` row, cells in ``_SWEEP_KEYS`` order, all text
+#: formatted beforehand.
+_JSON_ROW = ("    {\n" + ",\n".join(f'      "{k}": %s' for k in _SWEEP_KEYS)
+             + "\n    }")
 
 #: Points per block of whole theta rows that ``sweep`` formats and writes
 #: at once (at least one row), so that its memory does not grow with the
@@ -155,52 +155,32 @@ def _csv_rows(columns: list, sep: str) -> str:
     return sep.join(map(_CSV_ROW.__mod__, zip(*cells, strict=True)))
 
 
-def _json_kinds(values: np.ndarray) -> np.ndarray:
-    """Index into ``_JSON_SPECS`` per value: 0 or 1 where ``%.12g``
-    writes the digits of ``_json_float``, else 2.
+def _json_cells(values: np.ndarray) -> list:
+    """``_json_float`` of each of ``values``, formatted a column at a time.
 
     A normal double tells any two 12-digit decimals apart, so ``repr`` of
-    the rounded value keeps its digits, and both forms switch to exponent
-    notation below 1e-4.  They differ in the ``.0`` of an integral value:
-    an integer is kind 1, and a value within 1e-11 (relative) of one,
-    which may round to it, kind 2.  A subnormal keeps fewer digits, and
-    from 1e12 up ``%g`` writes an exponent where ``repr`` does not; below
-    1e11, rounding cannot reach 1e12.
+    the rounded value keeps the digits of ``%.12g``, and both switch to
+    exponent notation below 1e-4.  Below 1e11, where rounding cannot
+    reach the 1e12 at which ``%g`` writes an exponent and ``repr`` does
+    not, they differ only in the ``.0`` that ``repr`` gives an integral
+    value, which shows in the text.  The rest (subnormals, magnitudes
+    from 1e11 and non-finite values) are rounded one by one.
     """
+    cells = ("%.12g " * len(values) % tuple(values.tolist())).split()
+    cells = [t if "." in t or "e" in t else t + ".0" for t in cells]
     mag = np.abs(values)
-    off = np.abs(values - np.rint(values))
-    exact = (((mag == 0.0) | ((mag >= _NORMAL_MIN) & (mag < 1e11)))
-             & ((off == 0.0) | (off > 1e-11 * mag)))
-    return np.where(exact, off == 0.0, 2)
+    exact = (mag == 0.0) | ((mag >= _NORMAL_MIN) & (mag < 1e11))
+    for i in np.flatnonzero(~exact).tolist():
+        cells[i] = _json_float(values[i])
+    return cells
 
 
 def _json_rows(columns: list, sep: str) -> str:
     """JSON ``sweep`` rows joined by ``sep``, from ``columns`` in
-    ``_SWEEP_KEYS`` order: lists of text and 1-D float arrays.
-
-    The rows whose numbers share their ``_json_kinds`` share a template,
-    one ``%`` per row; only kind-2 numbers are formatted one by one.
-    """
-    table = np.empty((len(columns), len(columns[0])), dtype=object)
-    row_kinds = 0  # the kinds of a row's numbers, one base-3 digit each
-    for i, column in enumerate(columns):
-        table[i] = column
-        if isinstance(column, np.ndarray):
-            row_kinds = row_kinds + _json_kinds(column) * 3**i
-    rows = np.empty(table.shape[1], dtype=object)
-    for kinds in np.flatnonzero(np.bincount(row_kinds)).tolist():
-        at = np.flatnonzero(row_kinds == kinds)
-        cells, specs = table[:, at].tolist(), []
-        for i, column in enumerate(columns):
-            spec = "%s"
-            if isinstance(column, np.ndarray):
-                spec = _JSON_SPECS[kinds // 3**i % 3]
-                if spec == "%s":
-                    cells[i] = list(map(_json_float, cells[i]))
-            specs.append(f'      "{_SWEEP_KEYS[i]}": {spec}')
-        template = "    {\n" + ",\n".join(specs) + "\n    }"
-        rows[at] = list(map(template.__mod__, zip(*cells, strict=True)))
-    return sep.join(rows.tolist())
+    ``_SWEEP_KEYS`` order: lists of text and 1-D float arrays."""
+    cells = (_json_cells(c) if isinstance(c, np.ndarray) else c
+             for c in columns)
+    return sep.join(map(_JSON_ROW.__mod__, zip(*cells, strict=True)))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

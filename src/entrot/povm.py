@@ -527,8 +527,7 @@ def pmax_oracle(params: ProtocolParams,
         ys = _best_feasible_y(xs, p1, p2)
         p = xs + ys
         p[np.isnan(p)] = -np.inf
-        order = np.lexsort((ys, xs, -p))
-        i = order[0]
+        i = int(np.argmax(p))  # xs increase: the first maximum is the smallest
         if p[i] > best[2] or (p[i] == best[2] and (xs[i], ys[i]) < best[:2]):
             best = (float(xs[i]), float(ys[i]), float(p[i]))
         if step < resolution / 10.0:

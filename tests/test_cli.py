@@ -286,7 +286,7 @@ JSON_NUMBERS = st.one_of(
     st.builds(lambda n, d: n + d, st.integers(-10**4, 10**4).map(float),
               st.floats(-1e-13, 1e-13)),
     *(st.floats(c * (1 - 1e-11), c * (1 + 1e-11)).map(lambda v, s=s: s * v)
-      for c in (1e-4, 1e-5, 1e12) for s in (1.0, -1.0)),
+      for c in (1e-4, 1e-5, 1e11, 1e12) for s in (1.0, -1.0)),
     st.floats(-1e-300, 1e-300),
 )
 
