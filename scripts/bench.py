@@ -6,9 +6,10 @@ with ``time.perf_counter``, in each of a few fresh processes run one
 after another (both counts per ``--size``).  Per path, the file keeps
 the median and quartiles of all the timed calls, the median of each
 process and both counts, with the git revision, Python, numpy, CPU
-count and usable CPUs (the process's affinity set) of the run: a
-spread between the process medians wider than the quartiles shows
-noise that one process does not.  Runs are stored under
+count and usable CPUs (the process's affinity set, which a shared host
+can make smaller than the CPU count) of the run: a spread between the
+process medians wider than the quartiles shows noise that one process
+does not.  Runs are stored under
 ``--label``, so one file can hold a parent and a change measured on the
 same machine: a later run replaces only the run with its own label.  The
 package is imported from the usual path, so ``PYTHONPATH`` selects the
@@ -37,7 +38,8 @@ import numpy as np
 
 import entrot
 from entrot.cli import main as cli_main
-from entrot.montecarlo import _transcript_table
+from entrot.montecarlo import _DECISION_CHANNEL, _transcript_table
+from entrot.protocol import _rng_from_seed
 
 #: Per size: Monte Carlo trials, sweep points per axis, timed calls per
 #: path and process, and processes.
@@ -92,6 +94,8 @@ def _paths(size: str, workdir: str):
                                              seed=next(seeds))),
         ("run_once_deterministic", lambda: entrot.run_once(
             params, weights, state, seed=next(seeds), deterministic=True)),
+        ("decision_draws", lambda: _rng_from_seed(
+            1, _DECISION_CHANNEL).random((trials, 5))),
         ("transcript_table", lambda: _transcript_table(params, weights,
                                                        deterministic=True)),
         ("sweep", sweep),

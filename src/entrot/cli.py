@@ -229,7 +229,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _input_state(text: str) -> StateVector | None:
-    """'random' means a fresh Haar state per trial; otherwise a two-bit
+    """'random' means Haar-random inputs, averaged over; otherwise a two-bit
     computational basis string for the (A, B) register."""
     if text == "random":
         return None

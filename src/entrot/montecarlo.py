@@ -18,21 +18,24 @@ leaf by the thresholds :func:`~entrot.protocol.run_once` applies, set
 at the constant probabilities (1/2 for a sign, ``x`` and ``x + y`` for
 the branch, the normalized ``c^2 r_j0^2 + s^2 r_j1^2`` for ``b``)
 instead of each state's Born weights, which equal them up to round-off.
-Its fidelity follows from the leaf's diagonal and the input.  A
-failure's recovery leaves are the transcript table of the recovery
+A failure's recovery leaves are the transcript table of the recovery
 attempt itself, walked the same way.  So a batch trial and a single run
 given the same deviates pick the same branches unless a deviate falls
-within round-off of a threshold.  A trial draws five deviates, one
-column each in the layout of :func:`~entrot.protocol._execute`.  All
-randomness derives from one 64-bit seed through counter-based streams,
-making every summary bit-for-bit reproducible.
+within round-off of a threshold.
+
+A trial's fidelity depends on its input only through the input's basis
+weights, and for Haar inputs their second moments are known in closed
+form.  So no input is drawn: each leaf's fidelity is exact for a fixed
+input and averaged over Haar inputs otherwise, and a call only counts
+how many trials reach each leaf.  A trial draws five deviates, one
+column each in the layout of :func:`~entrot.protocol._execute`, from
+one counter-based stream derived from a 64-bit seed, making every
+summary bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import reduce
 
@@ -48,19 +51,17 @@ from .qmath import StateVector
 
 __all__ = ["SummaryStats", "monte_carlo"]
 
-#: Trials are processed in blocks of this size to bound memory.  A small
-#: block also lets the input lookahead (:func:`_haar_blocks`) start soon.
+#: Trials are processed in blocks of this size to bound memory.
 _CHUNK = 1 << 14
 
 #: Fidelities are summed exactly, truncated to units of 2**-_FID_BITS,
-#: so the mean does not depend on how the trials are chunked.
+#: so the mean does not depend on the order of summation.
 _FID_BITS = 53
 
-#: Stream tags mixed into the Philox key (high 64 bits).  Tag 0 is never
+#: Stream tag mixed into the Philox key (high 64 bits).  Tag 0 is never
 #: used here: it is the plain single-run keying, and reusing it would
 #: make batch trials overlap with individually seeded runs.
 _DECISION_CHANNEL = 1
-_INPUT_CHANNEL = 2
 
 #: The table is read off this data state.  Its amplitudes all differ in
 #: modulus, so a leaf that moved weight between basis states would fail
@@ -77,77 +78,11 @@ _UNIT_TOL = 1e-12
 _SUM_TOL = 1e-9
 
 
-def _haar_weights(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Basis weights ``|phi_k|^2`` of ``n`` Haar-random two-qubit states,
-    the states :func:`~entrot.qmath.haar_state` builds from each row of
-    8 normals.  The fidelity of a diagonal leaf needs nothing else."""
-    z = rng.standard_normal((n, 8))
-    weight = z[:, :4] ** 2 + z[:, 4:] ** 2
-    weight /= weight.sum(axis=1, keepdims=True)
-    return weight
-
-
-def _spare_cpu() -> bool:
-    """Whether this process may run on a second CPU, where a helper
-    thread can work while the caller does."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
-
-
-def _haar_blocks(rng: np.random.Generator, trials: int):
-    """Yield ``_haar_weights(rng, n)`` for ``trials`` trials in blocks of
-    ``_CHUNK``, in stream order.
-
-    Block 0 is drawn here.  Given a spare CPU, while the caller works on
-    block ``k`` one helper thread draws block ``k + 1`` (numpy releases
-    the GIL while it fills the normals); only that thread touches ``rng``
-    until it is joined.  On one CPU the two threads would only take
-    turns, so each block is drawn here when it is due.  Either way a
-    single block starts no thread, the bits are those of one sequential
-    draw, and an error in the helper is re-raised here.  Close the
-    generator to join a helper still running.
-    """
-    def draw(box, n):
-        try:
-            box.append(_haar_weights(rng, n))
-        except BaseException as exc:  # re-raised below, in the caller
-            box.append(exc)
-
-    ahead = trials > _CHUNK and _spare_cpu()
-    weight = _haar_weights(rng, min(_CHUNK, trials))
-    helper = None
-    try:
-        for done in range(_CHUNK, trials, _CHUNK):
-            n = min(_CHUNK, trials - done)
-            if not ahead:
-                yield weight
-                weight = _haar_weights(rng, n)
-                continue
-            box = []
-            helper = threading.Thread(target=draw, args=(box, n),
-                                      name="entrot-haar")
-            helper.start()
-            yield weight
-            helper.join()
-            helper = None
-            if isinstance(box[0], BaseException):
-                raise box[0]
-            weight = box[0]
-        yield weight
-    finally:
-        if helper is not None:
-            helper.join()
-
-
-def _fid_units(fid: np.ndarray) -> int:
-    """Exact sum of ``fid`` in units of ``2**-_FID_BITS``, each truncated.
-
-    A unit count stays below ``2**54``; it is split into two 27-bit
-    halves, whose int64 sums cannot overflow for any chunk that fits in
-    memory."""
-    q = (fid * 2.0 ** _FID_BITS).astype(np.int64)
-    return (int((q >> 27).sum()) << 27) + int((q & ((1 << 27) - 1)).sum())
+def _fid_units(count: np.ndarray, fid: np.ndarray) -> int:
+    """Exact sum of ``count[l]`` trials at fidelity ``fid[l]`` in units of
+    ``2**-_FID_BITS``, each fidelity truncated to whole units."""
+    units = (fid * 2.0 ** _FID_BITS).astype(np.int64)
+    return sum(int(n) * int(u) for n, u in zip(count, units))
 
 
 def _bins(edges):
@@ -279,39 +214,50 @@ def _transcript_table(params: ProtocolParams, weights: PovmWeights,
         overlap=target.conj() * phases)
 
 
-def _simulate_chunk(table: _TranscriptTable, weight: np.ndarray,
-                    draws: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One block of trials on inputs with basis weights ``weight``.
-
-    Returns ``(branch, fidelity, bell_pairs)`` per trial.  A leaf with
-    diagonal ``d`` maps an input ``phi`` to ``d * phi``, so its fidelity
-    against the target applied to ``phi`` is
-    ``|sum_k |phi_k|^2 conj(target_k) d_k|^2``.  It is NaN for a branch-3
-    trial left unrecovered (non-deterministic mode).
-    """
+def _leaves(table: _TranscriptTable, draws: np.ndarray) -> np.ndarray:
+    """The leaf each row of deviates ``draws`` picks."""
     leaf = np.zeros(draws.shape[0], dtype=np.intp)
     for col, edges in enumerate(table.edges):
         u = draws[:, col]
         leaf *= edges.size + 1
         for edge in edges:
             leaf += u >= edge
-    overlap = np.einsum("nk,nk->n", weight, table.overlap[leaf])
-    return (table.branch[leaf], overlap.real ** 2 + overlap.imag ** 2,
-            table.bell[leaf])
+    return leaf
+
+
+def _leaf_fidelity(overlap: np.ndarray,
+                   weight: np.ndarray | None = None) -> np.ndarray:
+    """Fidelity of each leaf, one per row ``c`` of ``overlap``.
+
+    A leaf maps an input ``phi`` to ``d * phi``, so against the target
+    applied to ``phi`` its fidelity is ``|sum_k w_k c_k|^2`` with basis
+    weights ``w_k = |phi_k|^2``: exact for the fixed ``weight``.  With
+    ``weight=None`` it is averaged over Haar inputs, whose weights are
+    Dirichlet(1, 1, 1, 1) with ``E[w_k w_l] = (1 + delta_kl) / 20``.  NaN
+    for a leaf whose ``c`` is NaN (a failure left unrecovered).
+    """
+    if weight is None:
+        total = overlap.sum(axis=1)
+        return (total.real ** 2 + total.imag ** 2
+                + (overlap.real ** 2 + overlap.imag ** 2).sum(axis=1)) / 20.0
+    total = overlap @ weight
+    return total.real ** 2 + total.imag ** 2
 
 
 @dataclass(frozen=True)
 class SummaryStats:
     """Aggregates over a batch of protocol attempts.
 
-    ``mean_fidelity`` is against the target gate and averages the trials
-    that finish with it applied: the success branches, plus recovered
-    failures in deterministic mode (where it covers every trial).  It is
-    None when no trial finished.  ``empirical_p`` counts branches 1-2
-    over all trials; ``z_score`` compares it with ``analytic_p = x + y``
-    under the binomial standard error.  ``mean_ebits`` is the resource
-    entropy plus Bell pairs spent per trial.
+    ``mean_fidelity`` is against the target gate and averages over the
+    trials that finish with it applied: the success branches, plus
+    recovered failures in deterministic mode (where it covers every
+    trial).  Each such trial contributes its fidelity given its
+    transcript: exact for a fixed input, and averaged over Haar inputs
+    otherwise.  It is None when no trial finished.  ``empirical_p``
+    counts branches 1-2 over all trials; ``z_score`` compares it with
+    ``analytic_p = x + y`` under the binomial standard error.
+    ``mean_ebits`` is the resource entropy plus Bell pairs spent per
+    trial.
     """
 
     params: ProtocolParams
@@ -336,11 +282,12 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
     """Estimate protocol statistics over ``trials`` independent attempts.
 
     ``weights`` defaults to the optimal POVM for ``params``.  With
-    ``input_state=None`` every trial gets a fresh Haar-random data state;
-    otherwise the given state (on qubits ``A``, ``B``) is reused.  The
-    decision deviates and the random inputs come from two disjoint
-    streams derived from ``seed``, so results are reproducible and
-    independent of chunking.
+    ``input_state=None`` the data state of every trial is Haar-random,
+    and the fidelity is averaged over it exactly; otherwise the given
+    state (on qubits ``A``, ``B``) is reused.  The decision deviates are
+    the only draws, from one stream derived from ``seed``, so results
+    are reproducible, independent of chunking and the same for any
+    input.
     """
     if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
         raise TypeError(f"trials must be an integer, got {type(trials).__name__}")
@@ -351,34 +298,25 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
         _check_input(input_state)
         fixed_weight = np.abs(input_state.permuted(("A", "B")).amps) ** 2
     dec_rng = _rng_from_seed(seed, _DECISION_CHANNEL)
-    in_rng = _rng_from_seed(seed, _INPUT_CHANNEL)
     if weights is None:
         weights = optimum(params).weights
     table = _transcript_table(params, weights, deterministic)
 
-    if fixed_weight is None:
-        blocks = _haar_blocks(in_rng, trials)
-    else:
-        blocks = (np.broadcast_to(fixed_weight,
-                                  (min(_CHUNK, trials - done), 4))
-                  for done in range(0, trials, _CHUNK))
-    counts = np.zeros(3, dtype=np.int64)
-    fid_units = 0
-    fid_n = 0
-    bell_sum = 0
-    try:
-        for weight in blocks:
-            draws = dec_rng.random((weight.shape[0], 5))
-            branch, fid, bell = _simulate_chunk(table, weight, draws)
-            counts += np.bincount(branch, minlength=4)[1:4]
-            have = ~np.isnan(fid)
-            fid_units += _fid_units(fid[have])
-            fid_n += int(have.sum())
-            bell_sum += int(bell.sum())
-    finally:
-        blocks.close()
+    hist = np.zeros(table.branch.size, dtype=np.int64)
+    for done in range(0, trials, _CHUNK):
+        draws = dec_rng.random((min(_CHUNK, trials - done), 5))
+        hist += np.bincount(_leaves(table, draws), minlength=hist.size)
 
-    success = int(counts[0] + counts[1])
+    counts = [int(hist[table.branch == b].sum()) for b in (1, 2, 3)]
+    reached = np.flatnonzero(hist)
+    fid = _leaf_fidelity(table.overlap[reached], fixed_weight)
+    have = ~np.isnan(fid)
+    finished = hist[reached[have]]
+    fid_units = _fid_units(finished, fid[have])
+    fid_n = int(finished.sum())
+    bell_sum = int(hist @ table.bell)
+
+    success = counts[0] + counts[1]
     empirical_p = success / trials
     analytic_p = weights.x + weights.y
     se = math.sqrt(analytic_p * (1.0 - analytic_p) / trials)
@@ -391,7 +329,7 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
     return SummaryStats(
         params=params, weights=weights, trials=int(trials), seed=int(seed),
         deterministic=deterministic,
-        branch_counts=(int(counts[0]), int(counts[1]), int(counts[2])),
+        branch_counts=tuple(counts),
         success_count=success, empirical_p=empirical_p,
         analytic_p=analytic_p, z_score=z,
         mean_fidelity=(fid_units / (fid_n << _FID_BITS)) if fid_n else None,

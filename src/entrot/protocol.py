@@ -305,7 +305,7 @@ def _rng_from_seed(seed: int, channel: int = 0) -> np.random.Generator:
 
     The channel fills the high 64 bits of the Philox key.  Channel 0 is
     the plain keying :func:`run_once` uses; the batch engine draws from
-    other channels so its streams never overlap a single run's.
+    another channel so its stream never overlaps a single run's.
     """
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise TypeError(f"seed must be an integer, got {type(seed).__name__}")

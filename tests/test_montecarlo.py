@@ -1,9 +1,6 @@
 """Batched sampling engine: agreement with single runs and statistics."""
 
 import math
-import sys
-import threading
-import time
 import warnings
 
 import numpy as np
@@ -29,11 +26,14 @@ def scaled_weights(params, factor):
 
 
 def engine_streams(seed, n):
-    """The decision deviates and Haar normals ``monte_carlo`` consumes."""
-    draws = _rng_from_seed(seed, montecarlo._DECISION_CHANNEL).random((n, 5))
-    normals = _rng_from_seed(seed, montecarlo._INPUT_CHANNEL).standard_normal(
-        (n, 8))
-    return draws, normals
+    """The decision deviates ``monte_carlo`` consumes."""
+    return _rng_from_seed(seed, montecarlo._DECISION_CHANNEL).random((n, 5))
+
+
+def input_normals(seed, n):
+    """``haar_state`` normals for ``n`` test inputs, from a stream of
+    ``seed`` (tag 2) disjoint from the engine's decision deviates."""
+    return _rng_from_seed(seed, 2).standard_normal((n, 8))
 
 
 # ------------------------------------------- engine equivalence
@@ -55,42 +55,68 @@ EQUIVALENCE_CASES = {
 @pytest.mark.parametrize("deterministic", [False, True])
 @pytest.mark.parametrize("case", EQUIVALENCE_CASES)
 def test_matches_single_run_engine_trial_by_trial(case, deterministic):
-    """Same deviates in, same branches, spending and states out."""
+    """Same deviates in, same branches and spending out; the leaf's
+    fidelity on each trial's own input is the single run's."""
     theta, alpha, scale, basis, branches = EQUIVALENCE_CASES[case]
     params = ProtocolParams(theta, alpha)
     w = optimum(params).weights if scale is None else scaled_weights(params,
                                                                      scale)
     n, seed = 300, 77
 
-    # reproduce exactly the deviates and inputs the batch engine consumes
-    draws, normals = engine_streams(seed, n)
+    # exactly the deviates the batch engine consumes
+    draws = engine_streams(seed, n)
     if basis is None:
-        states = [haar_state(("A", "B"), z) for z in normals]
-        weight = np.array([np.abs(s.amps) ** 2 for s in states])
-        np.testing.assert_allclose(
-            montecarlo._haar_weights(
-                _rng_from_seed(seed, montecarlo._INPUT_CHANNEL), n),
-            weight, rtol=0, atol=1e-15)
+        states = [haar_state(("A", "B"), z) for z in input_normals(seed, n)]
     else:
         states = [StateVector.basis(("A", "B"), basis)] * n
-        weight = np.broadcast_to(np.abs(states[0].amps) ** 2, (n, 4))
 
     table = montecarlo._transcript_table(params, w, deterministic)
-    branch, fid, bell = montecarlo._simulate_chunk(table, weight, draws)
-    assert set(branch.tolist()) == branches
+    leaf = montecarlo._leaves(table, draws)
+    assert set(table.branch[leaf].tolist()) == branches
 
     gate = controlled_rotation(params.theta)
     for i, state in enumerate(states):
         out = _execute(params, w, state, draws[i], deterministic, seed=0)
-        assert out.branch == branch[i]
-        assert out.bell_pairs_consumed == bell[i]
+        assert out.branch == table.branch[leaf[i]]
+        assert out.bell_pairs_consumed == table.bell[leaf[i]]
+        fid = montecarlo._leaf_fidelity(table.overlap[leaf[i:i + 1]],
+                                        np.abs(state.amps) ** 2)[0]
         if out.branch == 3 and not deterministic:
-            assert math.isnan(fid[i])
+            assert math.isnan(fid)
             assert out.residual is not None
         else:
             want = fidelity(apply_gate(state, gate, ("A", "B")),
                             out.final_state)
-            assert fid[i] == pytest.approx(want, abs=1e-12)
+            assert fid == pytest.approx(want, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def haar_weights():
+    """Basis weights of 20 000 inputs from entrot's own Haar sampler."""
+    return np.array([np.abs(haar_state(("A", "B"), z).amps) ** 2
+                     for z in input_normals(31, 20_000)])
+
+
+@pytest.mark.parametrize("delta", [0.3, 1.1, math.pi / 2, math.pi - 0.2])
+def test_haar_average_of_a_residual_gate(delta, haar_weights):
+    """A leaf that applies the target up to a residual gate of angle
+    ``delta`` has ``c_k = exp(-i delta s_k / 2)``, s = (1, -1, -1, 1).
+    Its fidelity varies with the input, so the Haar average has to
+    carry the second moments of the input weights:
+    ``1 - (4/5) sin^2(delta / 2)``, and the sample mean agrees."""
+    c = np.exp(-0.5j * delta * np.array([1.0, -1.0, -1.0, 1.0]))
+    mean = montecarlo._leaf_fidelity(c[None, :])[0]
+    assert mean == pytest.approx(1.0 - 0.8 * math.sin(delta / 2) ** 2,
+                                 abs=1e-15)
+    sample = np.abs(haar_weights @ c) ** 2
+    se = sample.std(ddof=1) / math.sqrt(sample.size)
+    assert abs(sample.mean() - mean) < 5 * se
+    # on one fixed input, the leaf's fidelity is the states' own
+    for z in input_normals(32, 50):
+        phi = haar_state(("A", "B"), z)
+        exact = montecarlo._leaf_fidelity(c[None, :], np.abs(phi.amps) ** 2)
+        assert exact[0] == pytest.approx(
+            fidelity(phi, StateVector(("A", "B"), c * phi.amps)), abs=1e-12)
 
 
 def _born_thresholds(theta, alpha, weights, phi, plus):
@@ -137,7 +163,8 @@ def test_constant_thresholds_match_born_weights(theta, alpha):
     table = montecarlo._transcript_table(params, w, deterministic=True)
     sign_e, branch_e, b_e, rsign_e, rbranch_e = table.edges
     n = 1 << 17
-    draws, z = engine_streams(5, n)
+    draws = engine_streams(5, n)
+    z = input_normals(5, n)
     phi = z[:, :4] + 1j * z[:, 4:]
     phi /= np.linalg.norm(phi, axis=1, keepdims=True)
 
@@ -267,146 +294,23 @@ def test_fixed_input_is_reproducible():
     assert a.mean_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
-# ------------------------------------------------ input lookahead
-
-#: Haar inputs over four blocks: three helpers, one after another.
-LOOKAHEAD_TRIALS = 3 * montecarlo._CHUNK + 5
-
-
-@pytest.fixture
-def helpers(monkeypatch):
-    """Every helper thread ``monte_carlo`` starts, in order, on a host
-    taken to have a spare CPU."""
-    monkeypatch.setattr(montecarlo, "_spare_cpu", lambda: True)
-    started = []
-
-    class Recorded(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(montecarlo.threading, "Thread", Recorded)
-    return started
-
-
-def test_helper_never_outlives_the_call(helpers):
-    params = ProtocolParams(math.pi / 4, math.pi / 6)
-    before = set(threading.enumerate())
-    monte_carlo(params, trials=LOOKAHEAD_TRIALS, seed=3)
-    assert len(helpers) == 3
-    assert not any(t.is_alive() for t in helpers)
-    assert set(threading.enumerate()) == before
-
-
-def test_error_in_the_caller_joins_the_helper(helpers, monkeypatch):
-    """Block 2 fails while a helper, slowed down, draws block 3: the
-    error reaches the caller only after that helper has ended."""
-    params = ProtocolParams(math.pi / 4, math.pi / 6)
-    simulate = montecarlo._simulate_chunk
-    draw = montecarlo._haar_weights
-    blocks = []
-
-    def fails_on_block_2(*args):
-        blocks.append(len(blocks))
-        if len(blocks) == 3:
-            raise RuntimeError("block 2")
-        return simulate(*args)
-
-    def slow_off_the_caller(rng, n):
-        if threading.current_thread() is not threading.main_thread():
-            time.sleep(0.05)
-        return draw(rng, n)
-
-    monkeypatch.setattr(montecarlo, "_simulate_chunk", fails_on_block_2)
-    monkeypatch.setattr(montecarlo, "_haar_weights", slow_off_the_caller)
-    before = set(threading.enumerate())
-    # the kept traceback holds the call's frame, and so its input blocks
-    with pytest.raises(RuntimeError, match="block 2") as caught:
-        monte_carlo(params, trials=LOOKAHEAD_TRIALS, seed=3)
-    assert len(helpers) == 3
-    assert not any(t.is_alive() for t in helpers)
-    assert set(threading.enumerate()) == before
-    assert caught.traceback
-
-
-def test_error_in_the_helper_reaches_the_caller(helpers, monkeypatch):
-    params = ProtocolParams(math.pi / 4, math.pi / 6)
-    draw = montecarlo._haar_weights
-    where = []
-
-    def fails_off_the_caller(rng, n):
-        where.append(threading.current_thread())
-        if where[-1] is not threading.main_thread():
-            raise FloatingPointError("in the helper")
-        return draw(rng, n)
-
-    hooked = []
-    monkeypatch.setattr(montecarlo, "_haar_weights", fails_off_the_caller)
-    monkeypatch.setattr(threading, "excepthook", hooked.append)
-    before = set(threading.enumerate())
-    with pytest.raises(FloatingPointError, match="in the helper") as caught:
-        monte_carlo(params, trials=LOOKAHEAD_TRIALS, seed=3,
-                    deterministic=True)
-    assert where == [threading.main_thread(), helpers[0]]
-    assert hooked == []
-    assert not helpers[0].is_alive()
-    assert set(threading.enumerate()) == before
-    assert caught.traceback
-
-
-def test_lookahead_under_a_short_switch_interval(helpers, monkeypatch):
-    """Forty helpers, one after another, with the interpreter switching
-    threads as often as it can, give the one-block result."""
-    params = ProtocolParams(0.45 * math.pi, 0.35 * math.pi)
-    monkeypatch.setattr(montecarlo, "_CHUNK", 1 << 40)
-    whole = monte_carlo(params, trials=41 * 257, seed=8, deterministic=True)
-    monkeypatch.setattr(montecarlo, "_CHUNK", 257)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        pieces = monte_carlo(params, trials=41 * 257, seed=8,
-                             deterministic=True)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(helpers) == 40
-    assert whole == pieces
-
-
-def _no_thread(*args, **kwargs):
-    raise AssertionError("monte_carlo started a thread")
-
-
-def test_one_block_calls_start_no_thread(monkeypatch):
-    """A call with one block of Haar inputs, or fixed inputs over any
-    number of blocks, runs in the caller's thread alone."""
-    monkeypatch.setattr(montecarlo, "_spare_cpu", lambda: True)
-    monkeypatch.setattr(montecarlo.threading, "Thread", _no_thread)
-    params = ProtocolParams(0.45 * math.pi, 0.35 * math.pi)
-    for deterministic in (False, True):
-        s = monte_carlo(params, trials=montecarlo._CHUNK, seed=4,
-                        deterministic=deterministic)
-        assert sum(s.branch_counts) == montecarlo._CHUNK
-    s = monte_carlo(params, trials=LOOKAHEAD_TRIALS, seed=4,
-                    input_state=StateVector.basis(("A", "B"), "10"))
-    assert sum(s.branch_counts) == LOOKAHEAD_TRIALS
-
-
 @pytest.mark.parametrize("deterministic", [False, True])
-def test_one_usable_cpu_draws_in_the_caller(monkeypatch, deterministic):
-    """Where the process may run on one CPU only, Haar inputs over many
-    blocks start no thread and give the same result."""
-    params = ProtocolParams(math.pi / 4, math.pi / 6)
-    want = monte_carlo(params, trials=LOOKAHEAD_TRIALS, seed=5,
+def test_counts_come_from_the_decision_stream_alone(deterministic):
+    """Haar inputs and a fixed input at one seed give the same counts:
+    only the decision deviates are drawn.  A fixed input that is no
+    basis state still reaches the target exactly."""
+    params = ProtocolParams(0.45 * math.pi, 0.35 * math.pi)
+    phi = StateVector(("A", "B"), np.array([1.0, 2.0j, -3.0, -4.0j])
+                      / math.sqrt(30.0))
+    haar = monte_carlo(params, trials=50_000, seed=21,
                        deterministic=deterministic)
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
-                        lambda pid: {0, 3}, raising=False)
-    assert montecarlo._spare_cpu()
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
-                        lambda pid: {3}, raising=False)
-    assert not montecarlo._spare_cpu()
-    monkeypatch.setattr(montecarlo.threading, "Thread", _no_thread)
-    assert monte_carlo(params, trials=LOOKAHEAD_TRIALS, seed=5,
-                       deterministic=deterministic) == want
+    fixed = monte_carlo(params, trials=50_000, seed=21, input_state=phi,
+                        deterministic=deterministic)
+    assert fixed.branch_counts == haar.branch_counts
+    assert fixed.z_score == haar.z_score
+    assert fixed.mean_bell_pairs == haar.mean_bell_pairs
+    assert fixed.mean_fidelity == pytest.approx(1.0, abs=1e-12)
+    assert haar.mean_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 # -------------------------------------------------- statistics

@@ -75,7 +75,8 @@ def test_bench_script_schema(tmp_path, checkout_env):
         assert set(run["paths"]) == {
             "monte_carlo", "monte_carlo_deterministic", "run_once",
             "run_once_deterministic", "transcript_table", "sweep",
-            "sweep_json", "pmax_oracle", "threshold_theta"}
+            "sweep_json", "pmax_oracle", "threshold_theta",
+            "decision_draws"}
         for stats in run["paths"].values():
             assert stats["n"] == 3  # the tiny size's timed calls
             assert 0.0 < stats["q1_s"] <= stats["median_s"] <= stats["q3_s"]
