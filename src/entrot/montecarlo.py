@@ -286,8 +286,8 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
     and the fidelity is averaged over it exactly; otherwise the given
     state (on qubits ``A``, ``B``) is reused.  The decision deviates are
     the only draws, from one stream derived from ``seed``, so results
-    are reproducible, independent of chunking and the same for any
-    input.
+    are reproducible and independent of chunking, and every count is
+    the same for any input.
     """
     if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
         raise TypeError(f"trials must be an integer, got {type(trials).__name__}")
