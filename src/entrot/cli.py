@@ -30,7 +30,7 @@ import numpy as np
 from . import verify as verify_mod
 from .entanglement import _alpha_terms, _costs, threshold_theta
 from .montecarlo import monte_carlo
-from .povm import (_CASES, _NORMAL_MIN, ProtocolParams, _case, _in_domain,
+from .povm import (_CASES, _NORMAL_MIN, ProtocolParams, _case, _check_grid,
                    _trig, det_e3, discriminant, optimum, tr_e3)
 from .qmath import StateVector
 
@@ -187,15 +187,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with np.errstate(all="ignore"):  # an infinite span gives NaN, rejected below
         thetas = np.linspace(*args.theta_grid)
         alphas = np.linspace(*args.alpha_grid)
+    _check_grid(thetas.tolist(), alphas.tolist())  # before any byte is written
     n_a = len(alphas)
     step = max(1, _SWEEP_BLOCK // n_a)
     blocks = [slice(start, start + step)
               for start in range(0, len(thetas), step)]
-    for rows in blocks:  # every point, before any byte is written
-        grid = np.broadcast_arrays(thetas[rows, None], alphas)
-        ok = _in_domain(*grid)
-        if not ok.all():  # raise ProtocolParams' error at the first bad point
-            ProtocolParams(*(g.flat[np.argmin(ok)].item() for g in grid))
     ca, sa, e = _alpha_terms(alphas)
     ct, st = _trig(thetas[:, None])
     if args.json:
@@ -382,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # e.g. a grid axis too long
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -154,15 +154,18 @@ class ProtocolParams:
         return math.sin(self.theta)
 
 
-def _in_domain(theta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Elementwise: whether :class:`ProtocolParams` admits ``(theta,
-    alpha)``, by the same predicates as its ``__post_init__`` and
-    :func:`_check_alpha`, as arrays."""
-    return (np.isfinite(theta) & np.isfinite(alpha)
-            & (0.0 < alpha) & (alpha <= HALF_PI) & (alpha >= _NORMAL_MIN)
-            & np.where(alpha == HALF_PI,
-                       (-math.pi < theta) & (theta <= math.pi),
-                       (0.0 < theta) & (theta <= HALF_PI)))
+def _check_grid(thetas: list, alphas: list) -> None:
+    """Raise :class:`ProtocolParams`' error at the first point of the grid
+    ``thetas`` x ``alphas``, in row order, that it rejects.  Once the first
+    row passes, every alpha is valid and a point depends on its alpha only
+    through ``alpha == pi/2``: later rows try the first alpha of each kind."""
+    firsts = {}
+    for alpha in alphas:
+        ProtocolParams(thetas[0], alpha)
+        firsts.setdefault(alpha == HALF_PI, alpha)
+    for theta in thetas[1:]:
+        for alpha in firsts.values():
+            ProtocolParams(theta, alpha)
 
 
 @dataclass(frozen=True)

@@ -365,7 +365,7 @@ DOMAIN_ERRORS = [
 def test_sweep_domain_errors_write_nothing(tmp_path, capsys, monkeypatch,
                                            grids, message, fmt):
     """The first bad point in row order stops the sweep before any byte
-    is written, also when the grid is checked one theta row at a time."""
+    is written, whatever the block size."""
     path = tmp_path / "table.csv"
     for block in (cli._SWEEP_BLOCK, 1):
         monkeypatch.setattr(cli, "_SWEEP_BLOCK", block)
@@ -375,6 +375,20 @@ def test_sweep_domain_errors_write_nothing(tmp_path, capsys, monkeypatch,
         assert code == 2
         assert out == "" and err == f"error: {message}\n"
         assert not path.exists()
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_sweep_refuses_an_axis_no_host_can_allocate(tmp_path, capsys, axis):
+    """A COUNT of 1e18 asks numpy for 8 EB at once, which is refused: one
+    ``error:`` line, exit 2 and no output file."""
+    path = tmp_path / "table.csv"
+    grids = ["0.1pi:0.4pi:3", "0.1pi:0.4pi:3"]
+    grids[axis] = f"0.1pi:0.4pi:{10**18}"
+    code, out, err = run_cli(capsys, "sweep", f"--theta-grid={grids[0]}",
+                             f"--alpha-grid={grids[1]}", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not path.exists()
 
 
 def test_sweep_json_structure(capsys):
@@ -605,9 +619,12 @@ def cli_argv(draw):
         tol = draw(some(st.floats(1e-6, 1e-3), st.floats()))
         return argv + [f"--tol={tol!r}"]
     if command == "sweep":
+        # 1e18 points (8 EB) is refused at once; no smaller count that a
+        # host could allocate belongs here
+        count = some(st.integers(2, 4),
+                     st.integers(max_value=4) | st.just(10**18))
         return argv + [
-            f"{flag}={draw(angle_text)}:{draw(angle_text)}:"
-            f"{draw(some(st.integers(2, 4), st.integers(max_value=4)))}"
+            f"{flag}={draw(angle_text)}:{draw(angle_text)}:{draw(count)}"
             for flag in ("--theta-grid", "--alpha-grid")]
     argv += [f"--theta={draw(angle_text)}", f"--alpha={draw(angle_text)}"]
     if command == "simulate":

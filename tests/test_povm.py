@@ -74,20 +74,37 @@ _EDGES = [sign * v for edge in (0.0, HALF_PI, math.pi, sys.float_info.min,
           for sign in (1.0, -1.0)] + [math.inf, -math.inf, math.nan]
 
 
-def test_array_domain_check_agrees_with_the_constructor():
-    """``_in_domain`` admits exactly the points ``ProtocolParams`` admits,
-    over every pair of edge values."""
-    grid = np.meshgrid(_EDGES, _EDGES, indexing="ij")
-    got = povm._in_domain(*grid)
-    assert got.any() and not got.all()
-    for theta, alpha, admitted in zip(*(g.ravel().tolist()
-                                        for g in (*grid, got))):
-        try:
-            ProtocolParams(theta, alpha)
-        except ValueError:
-            assert not admitted, (theta, alpha)
-        else:
-            assert admitted, (theta, alpha)
+def _first_error(thetas, alphas):
+    """``ProtocolParams``' message at the first point of the grid, in row
+    order, that it rejects, or None: the brute-force loop."""
+    for theta in thetas:
+        for alpha in alphas:
+            try:
+                ProtocolParams(theta, alpha)
+            except ValueError as exc:
+                return str(exc)
+    return None
+
+
+#: A grid axis: a few edge values, with Bell columns anywhere.
+_edge_axis = st.lists(st.sampled_from(_EDGES) | st.just(HALF_PI),
+                      min_size=1, max_size=5)
+
+
+@settings(max_examples=500)
+@given(_edge_axis, _edge_axis)
+@example([0.3, -2.0, math.nan], [HALF_PI, 0.3, HALF_PI])
+@example([0.3, 0.4, 2.0], [0.3, 0.4, HALF_PI])
+def test_grid_check_stops_where_the_constructor_does(thetas, alphas):
+    """``_check_grid`` raises the message of the first point in row order
+    that ``ProtocolParams`` rejects, or nothing if it admits them all."""
+    try:
+        povm._check_grid(thetas, alphas)
+    except ValueError as exc:
+        got = str(exc)
+    else:
+        got = None
+    assert got == _first_error(thetas, alphas)
 
 
 def test_trig_snaps_to_exact_zero_at_right_angles():
