@@ -95,6 +95,7 @@ _edge_axis = st.lists(st.sampled_from(_EDGES) | st.just(HALF_PI),
 @given(_edge_axis, _edge_axis)
 @example([0.3, -2.0, math.nan], [HALF_PI, 0.3, HALF_PI])
 @example([0.3, 0.4, 2.0], [0.3, 0.4, HALF_PI])
+@example([0.3, -4.0], [HALF_PI, 0.3])  # both kinds reject; Bell is first
 def test_grid_check_stops_where_the_constructor_does(thetas, alphas):
     """``_check_grid`` raises the message of the first point in row order
     that ``ProtocolParams`` rejects, or nothing if it admits them all."""
