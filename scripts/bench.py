@@ -81,6 +81,10 @@ def _paths(size: str, workdir: str):
                      "--out", out, *fmt]) != 0:
             raise RuntimeError("sweep failed")
 
+    def table():
+        _transcript_table.cache_clear()  # time a build, not a memo hit
+        return _transcript_table(params, weights, deterministic=True)
+
     def oracle():
         angles = rng.uniform(0.05, 0.5, 2) * math.pi
         return entrot.pmax_oracle(entrot.ProtocolParams(*angles.tolist()),
@@ -95,9 +99,8 @@ def _paths(size: str, workdir: str):
         ("run_once_deterministic", lambda: entrot.run_once(
             params, weights, state, seed=next(seeds), deterministic=True)),
         ("decision_draws", lambda: _rng_from_seed(
-            1, _DECISION_CHANNEL).random((trials, 5))),
-        ("transcript_table", lambda: _transcript_table(params, weights,
-                                                       deterministic=True)),
+            1, _DECISION_CHANNEL).bit_generator.random_raw(5 * trials)),
+        ("transcript_table", table),
         ("sweep", sweep),
         ("sweep_json", lambda: sweep("--json")),
         ("pmax_oracle", oracle),

@@ -8,36 +8,41 @@ transcripts: Alice's sign, Bob's POVM branch and, after a failure, the
 probabilities depends on the data state, and every leaf acts on (A, B)
 as a constant diagonal unitary.
 
-So each call first builds a *transcript table*: it runs the reference
-step functions of :mod:`entrot.protocol` on one fixed probe state, with
-a deviate from the middle of each outcome's interval, and reads each
-leaf's diagonal off the probe.  The labels (branch, Bell pairs, the
-folding of a vanishing failure branch) are whatever those steps
-returned.  A trial then needs no state simulation.  Its deviates pick a
-leaf by the thresholds :func:`~entrot.protocol.run_once` applies, set
-at the constant probabilities (1/2 for a sign, ``x`` and ``x + y`` for
-the branch, the normalized ``c^2 r_j0^2 + s^2 r_j1^2`` for ``b``)
-instead of each state's Born weights, which equal them up to round-off.
-A failure's recovery leaves are the transcript table of the recovery
-attempt itself, walked the same way.  So a batch trial and a single run
-given the same deviates pick the same branches unless a deviate falls
-within round-off of a threshold.
+So each call first looks up a *transcript table*, built once per
+parameter point, POVM and mode and then kept in a small memo: it runs
+the reference step functions of :mod:`entrot.protocol` on one fixed
+probe state, with a deviate from the middle of each outcome's interval,
+and reads each leaf's diagonal off the probe.  The labels (branch, Bell
+pairs, the folding of a vanishing failure branch) are whatever those
+steps returned.  A trial then needs no state simulation.  Its deviates
+pick a leaf by the thresholds :func:`~entrot.protocol.run_once`
+applies, set at the constant probabilities (1/2 for a sign, ``x`` and
+``x + y`` for the branch, the normalized ``c^2 r_j0^2 + s^2 r_j1^2``
+for ``b``) instead of each state's Born weights, which equal them up to
+round-off.  A failure's recovery leaves are the transcript table of the
+recovery attempt itself, walked the same way.  So a batch trial and a
+single run given the same deviates pick the same branches unless a
+deviate falls within round-off of a threshold.
 
 A trial's fidelity depends on its input only through the input's basis
 weights, and for Haar inputs their second moments are known in closed
 form.  So no input is drawn: each leaf's fidelity is exact for a fixed
 input and averaged over Haar inputs otherwise, and a call only counts
-how many trials reach each leaf.  A trial draws five deviates, one
-column each in the layout of :func:`~entrot.protocol._execute`, from
-one counter-based stream derived from a 64-bit seed, making every
-summary bit-for-bit reproducible.
+how many trials reach each leaf.  A trial draws five raw 64-bit words,
+one column each in the layout of :func:`~entrot.protocol._execute`,
+from one counter-based stream derived from a 64-bit seed, making every
+summary bit-for-bit reproducible.  A word ``w`` stands for the deviate
+``(w >> 11) * 2**-53`` that ``Generator.random`` makes of it, and the
+table holds each threshold as the least word whose deviate reaches it,
+so a leaf is picked by integer comparisons that agree exactly with the
+deviates' own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -72,6 +77,9 @@ _PROBE = StateVector(("A", "B"),
 #: Deviate threshold of a fair x-basis outcome.
 _SIGN_EDGES = (0.5,)
 
+#: A raw word ``w`` gives the deviate ``(w >> _WORD_SHIFT) * 2**-53``.
+_WORD_SHIFT = 11
+
 #: How far a leaf's diagonal may stray from unit modulus, and the leaf
 #: probabilities' sum from 1, before the table is rejected.
 _UNIT_TOL = 1e-12
@@ -96,6 +104,23 @@ def _bins(edges):
         yield max(hi - lo, 0.0), inside
 
 
+def _word(edge: float) -> int:
+    """The least raw word whose deviate is at least ``edge < 1``.
+
+    Deviates are whole multiples of ``2**-53`` and ``edge * 2**53`` is
+    exact, so ``u >= edge`` exactly when ``w >= _word(edge)``.  Every
+    word passes an edge at or below 0.
+    """
+    if edge <= 0.0:
+        return 0
+    return math.ceil(edge * 2.0 ** 53) << _WORD_SHIFT
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def _reading(state: StateVector) -> np.ndarray:
     """The diagonal that took the probe to ``state``."""
     return state.permuted(("A", "B")).amps / _PROBE.amps
@@ -118,18 +143,25 @@ class _TranscriptTable:
     """Every transcript of one attempt, one leaf per cell of deviate bins.
 
     Draw column ``k`` is cut into bins at ``edges[k]``; a trial's leaf is
-    the row-major index of its bins.  ``phases`` holds each leaf's
-    diagonal, NaN where a failure is left unrecovered, and ``overlap``
-    the same times the conjugate target diagonal.
+    the row-major index of its bins.  ``cuts[k]`` holds the same edges as
+    raw words (:func:`_word`), less any at or above 1, which no deviate
+    reaches.  ``phases`` holds each leaf's diagonal, NaN where a failure
+    is left unrecovered, and ``overlap`` the same times the conjugate
+    target diagonal.  Tables are memoised and shared, so every array is
+    read-only.
     """
 
     edges: tuple[np.ndarray, ...]
+    cuts: tuple[np.ndarray, ...]
     branch: np.ndarray
     bell: np.ndarray
     phases: np.ndarray
     overlap: np.ndarray
 
 
+# A cached table is shared: mc_batch's four calls need four root tables
+# and up to four recovery sub-tables.  A raised error is not cached.
+@lru_cache(maxsize=16)
 def _transcript_table(params: ProtocolParams, weights: PovmWeights,
                       deterministic: bool) -> _TranscriptTable:
     """Run the reference steps once per leaf on the probe.
@@ -209,19 +241,23 @@ def _transcript_table(params: ProtocolParams, weights: PovmWeights,
     target = controlled_rotation(params.theta).diagonal()
     phases = phases.reshape(-1, 4)
     return _TranscriptTable(
-        edges=tuple(np.array(e, dtype=float) for e in edges),
-        branch=branch.reshape(-1), bell=bell.reshape(-1), phases=phases,
-        overlap=target.conj() * phases)
+        edges=tuple(_frozen(np.array(e, dtype=float)) for e in edges),
+        cuts=tuple(_frozen(np.array([_word(x) for x in e if x < 1.0],
+                                    dtype=np.uint64)) for e in edges),
+        branch=_frozen(branch.reshape(-1)), bell=_frozen(bell.reshape(-1)),
+        phases=_frozen(phases), overlap=_frozen(target.conj() * phases))
 
 
-def _leaves(table: _TranscriptTable, draws: np.ndarray) -> np.ndarray:
-    """The leaf each row of deviates ``draws`` picks."""
-    leaf = np.zeros(draws.shape[0], dtype=np.intp)
-    for col, edges in enumerate(table.edges):
-        u = draws[:, col]
+def _leaves(table: _TranscriptTable, words: np.ndarray) -> np.ndarray:
+    """The leaf each row of raw words ``words`` picks, in the smallest
+    unsigned dtype that holds every leaf index."""
+    leaf = np.zeros(words.shape[0],
+                    dtype=np.min_scalar_type(table.branch.size - 1))
+    for col, (edges, cuts) in enumerate(zip(table.edges, table.cuts)):
+        w = words[:, col]
         leaf *= edges.size + 1
-        for edge in edges:
-            leaf += u >= edge
+        for cut in cuts:
+            leaf += w >= cut
     return leaf
 
 
@@ -284,7 +320,7 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
     ``weights`` defaults to the optimal POVM for ``params``.  With
     ``input_state=None`` the data state of every trial is Haar-random,
     and the fidelity is averaged over it exactly; otherwise the given
-    state (on qubits ``A``, ``B``) is reused.  The decision deviates are
+    state (on qubits ``A``, ``B``) is reused.  The decision words are
     the only draws, from one stream derived from ``seed``, so results
     are reproducible and independent of chunking, and every count is
     the same for any input.
@@ -297,15 +333,16 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
     if input_state is not None:
         _check_input(input_state)
         fixed_weight = np.abs(input_state.permuted(("A", "B")).amps) ** 2
-    dec_rng = _rng_from_seed(seed, _DECISION_CHANNEL)
+    words = _rng_from_seed(seed, _DECISION_CHANNEL).bit_generator
     if weights is None:
         weights = optimum(params).weights
     table = _transcript_table(params, weights, deterministic)
 
     hist = np.zeros(table.branch.size, dtype=np.int64)
     for done in range(0, trials, _CHUNK):
-        draws = dec_rng.random((min(_CHUNK, trials - done), 5))
-        hist += np.bincount(_leaves(table, draws), minlength=hist.size)
+        n = min(_CHUNK, trials - done)
+        block = words.random_raw(5 * n).reshape(n, 5)
+        hist += np.bincount(_leaves(table, block), minlength=hist.size)
 
     counts = [int(hist[table.branch == b].sum()) for b in (1, 2, 3)]
     reached = np.flatnonzero(hist)

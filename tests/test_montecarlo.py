@@ -1,5 +1,6 @@
 """Batched sampling engine: agreement with single runs and statistics."""
 
+import dataclasses
 import math
 import warnings
 
@@ -26,8 +27,14 @@ def scaled_weights(params, factor):
 
 
 def engine_streams(seed, n):
-    """The decision deviates ``monte_carlo`` consumes."""
-    return _rng_from_seed(seed, montecarlo._DECISION_CHANNEL).random((n, 5))
+    """The raw decision words ``monte_carlo`` consumes, one row per trial."""
+    bits = _rng_from_seed(seed, montecarlo._DECISION_CHANNEL).bit_generator
+    return bits.random_raw(5 * n).reshape(n, 5)
+
+
+def deviates(words):
+    """The doubles ``Generator.random`` makes of raw Philox words."""
+    return (words >> 11) * 2.0 ** -53
 
 
 def input_normals(seed, n):
@@ -52,26 +59,38 @@ EQUIVALENCE_CASES = {
 }
 
 
+def case_point(case):
+    """The parameters and POVM weights of an equivalence case."""
+    theta, alpha, scale, _, _ = EQUIVALENCE_CASES[case]
+    params = ProtocolParams(theta, alpha)
+    w = optimum(params).weights if scale is None else scaled_weights(params,
+                                                                     scale)
+    return params, w
+
+
 @pytest.mark.parametrize("deterministic", [False, True])
 @pytest.mark.parametrize("case", EQUIVALENCE_CASES)
 def test_matches_single_run_engine_trial_by_trial(case, deterministic):
     """Same deviates in, same branches and spending out; the leaf's
     fidelity on each trial's own input is the single run's."""
-    theta, alpha, scale, basis, branches = EQUIVALENCE_CASES[case]
-    params = ProtocolParams(theta, alpha)
-    w = optimum(params).weights if scale is None else scaled_weights(params,
-                                                                     scale)
+    _, _, _, basis, branches = EQUIVALENCE_CASES[case]
+    params, w = case_point(case)
     n, seed = 300, 77
 
-    # exactly the deviates the batch engine consumes
-    draws = engine_streams(seed, n)
+    # exactly the words the batch engine consumes, and numpy's own
+    # doubles of them, bit for bit: the table's word cuts rely on this
+    words = engine_streams(seed, n)
+    draws = deviates(words)
+    numpy_draws = _rng_from_seed(seed, montecarlo._DECISION_CHANNEL).random(
+        (n, 5))
+    assert np.array_equal(draws.view(np.uint64), numpy_draws.view(np.uint64))
     if basis is None:
         states = [haar_state(("A", "B"), z) for z in input_normals(seed, n)]
     else:
         states = [StateVector.basis(("A", "B"), basis)] * n
 
     table = montecarlo._transcript_table(params, w, deterministic)
-    leaf = montecarlo._leaves(table, draws)
+    leaf = montecarlo._leaves(table, words)
     assert set(table.branch[leaf].tolist()) == branches
 
     gate = controlled_rotation(params.theta)
@@ -88,6 +107,68 @@ def test_matches_single_run_engine_trial_by_trial(case, deterministic):
             want = fidelity(apply_gate(state, gate, ("A", "B")),
                             out.final_state)
             assert fid == pytest.approx(want, abs=1e-12)
+
+
+#: Edges at and next to the ends of [0, 1], and the middle.
+WORD_EDGES = [0.0, 1.0, 0.5, 2.0 ** -1074, 1.0 - 2.0 ** -53]
+
+
+def _case_edges():
+    """Every edge of every equivalence case's table, in both modes."""
+    return {float(e) for case in EQUIVALENCE_CASES for det in (False, True)
+            for col in montecarlo._transcript_table(*case_point(case),
+                                                    det).edges
+            for e in col}
+
+
+@pytest.mark.parametrize("edge", sorted(set(WORD_EDGES) | _case_edges()))
+def test_word_cut_is_exact_at_the_edge(edge):
+    """A raw word reaches an edge's cut exactly when its deviate reaches
+    the edge, on both sides of the cut and of the deviate steps next to
+    it.  An edge at or above 1 has no cut: no word's deviate reaches 1."""
+    if edge >= 1.0:
+        assert deviates(np.uint64(2 ** 64 - 1)) < 1.0
+        return
+    cut = montecarlo._word(edge)
+    assert 0 <= cut < 2 ** 64
+    words = [w for w in (cut - 2 ** 11, cut - 1, cut, cut + 2 ** 11 - 1,
+                         cut + 2 ** 11) if 0 <= w < 2 ** 64]
+    for w in words:
+        assert ((w >> 11) * 2.0 ** -53 >= edge) == (w >= cut), w
+    as_array = np.array(words, dtype=np.uint64)
+    assert np.array_equal(deviates(as_array) >= edge,
+                          as_array >= np.uint64(cut))
+
+
+def float_leaves(table, draws):
+    """The leaf each row of deviates ``draws`` picks at the float edges."""
+    leaf = np.zeros(draws.shape[0], dtype=np.intp)
+    for col, edges in enumerate(table.edges):
+        leaf = (leaf * (edges.size + 1)
+                + (draws[:, col, None] >= edges).sum(axis=1))
+    return leaf
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+def test_word_leaves_are_the_deviate_leaves(case, deterministic):
+    """A table's cuts are its edges below 1 as words.  On 1e5 seeded rows,
+    and on rows of words at and next to every cut, the words pick the
+    leaf their deviates pick."""
+    table = montecarlo._transcript_table(*case_point(case), deterministic)
+    for edges, cuts in zip(table.edges, table.cuts):
+        assert cuts.dtype == np.uint64
+        assert cuts.tolist() == [montecarlo._word(e) for e in edges
+                                 if e < 1.0]
+    near = sorted({c + d for cuts in table.cuts for c in cuts.tolist()
+                   for d in (-2 ** 11, -1, 0, 2 ** 11 - 1, 2 ** 11)
+                   if 0 <= c + d < 2 ** 64})
+    words = np.concatenate([
+        engine_streams(list(EQUIVALENCE_CASES).index(case), 100_000),
+        np.repeat(np.array(near, dtype=np.uint64)[:, None], 5, axis=1)])
+    leaf = montecarlo._leaves(table, words)
+    assert leaf.dtype == np.uint8
+    assert np.array_equal(leaf, float_leaves(table, deviates(words)))
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +244,7 @@ def test_constant_thresholds_match_born_weights(theta, alpha):
     table = montecarlo._transcript_table(params, w, deterministic=True)
     sign_e, branch_e, b_e, rsign_e, rbranch_e = table.edges
     n = 1 << 17
-    draws = engine_streams(5, n)
+    draws = deviates(engine_streams(5, n))
     z = input_normals(5, n)
     phi = z[:, :4] + 1j * z[:, 4:]
     phi /= np.linalg.norm(phi, axis=1, keepdims=True)
@@ -225,7 +306,17 @@ def test_walked_recovery_is_the_public_recovery(remaining):
     assert _recovery(0.0) is None and _recovery(-0.0) is None
 
 
-def test_table_rejects_a_leaf_that_is_not_diagonal(monkeypatch):
+@pytest.fixture
+def fresh_tables():
+    """An empty table memo, so that a patched step really runs, and no
+    table built under a patch outlives the test."""
+    montecarlo._transcript_table.cache_clear()
+    yield
+    montecarlo._transcript_table.cache_clear()
+
+
+def test_table_rejects_a_leaf_that_is_not_diagonal(monkeypatch,
+                                                   fresh_tables):
     def scrambled(branch, register):
         amps = register.permuted(("A", "B")).amps[::-1]
         return StateVector(("A", "B"), amps), []
@@ -241,11 +332,60 @@ def test_table_rejects_a_leaf_that_is_not_diagonal(monkeypatch):
     ("_SIGN_EDGES", (1.05,)),                   # bins summing to 1.05
 ], ids=["nan_edge", "bin_wider_than_1", "sum_above_1"])
 def test_table_rejects_probabilities_that_are_not_a_distribution(
-        monkeypatch, name, value):
+        monkeypatch, fresh_tables, name, value):
     monkeypatch.setattr(montecarlo, name, value)
     with pytest.raises(ValueError, match="not a distribution"):
         monte_carlo(ProtocolParams(0.3, 0.4), trials=10, seed=0,
                     deterministic=True)
+
+
+# ----------------------------------------------------- table memo
+
+def test_equal_keys_share_one_read_only_table():
+    """Equal keys give the same table object, which no caller can write
+    to, from a memo of bounded size."""
+    def point():
+        params = ProtocolParams(0.45 * math.pi, 0.35 * math.pi)
+        return params, optimum(params).weights
+
+    for deterministic in (False, True):
+        table = montecarlo._transcript_table(*point(), deterministic)
+        assert montecarlo._transcript_table(*point(), deterministic) is table
+        for array in (*table.edges, *table.cuts, table.branch, table.bell,
+                      table.phases, table.overlap):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+    maxsize = montecarlo._transcript_table.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 16
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"deterministic": True},
+    {"input_state": StateVector(("A", "B"), np.array([1.0, 2.0j, -3.0, -4.0j])
+                                / math.sqrt(30.0))},
+], ids=["plain", "deterministic", "fixed_input"])
+def test_a_warm_table_gives_the_summary_of_a_fresh_one(kwargs):
+    params = ProtocolParams(0.42 * math.pi, 0.31 * math.pi)
+    monte_carlo(params, trials=3000, seed=5, **kwargs)
+    hits = montecarlo._transcript_table.cache_info().hits
+    warm = monte_carlo(params, trials=3000, seed=5, **kwargs)
+    assert montecarlo._transcript_table.cache_info().hits > hits
+    montecarlo._transcript_table.cache_clear()
+    fresh = monte_carlo(params, trials=3000, seed=5, **kwargs)
+    for field in dataclasses.fields(SummaryStats):
+        assert getattr(warm, field.name) == getattr(fresh, field.name), field
+
+
+def test_a_non_positive_povm_raises_on_every_call():
+    """A failed build leaves nothing in the memo to return later."""
+    params = ProtocolParams(0.42 * math.pi, 0.31 * math.pi)
+    w = scaled_weights(params, 1.2)
+    for deterministic in (False, True, False):
+        size = montecarlo._transcript_table.cache_info().currsize
+        with pytest.raises(ValueError, match="non-positive POVM"):
+            monte_carlo(params, trials=10, seed=0, weights=w,
+                        deterministic=deterministic)
+        assert montecarlo._transcript_table.cache_info().currsize == size
 
 
 # ------------------------------------------------ reproducibility
