@@ -77,9 +77,6 @@ _PROBE = StateVector(("A", "B"),
 #: Deviate threshold of a fair x-basis outcome.
 _SIGN_EDGES = (0.5,)
 
-#: A raw word ``w`` gives the deviate ``(w >> _WORD_SHIFT) * 2**-53``.
-_WORD_SHIFT = 11
-
 #: How far a leaf's diagonal may stray from unit modulus, and the leaf
 #: probabilities' sum from 1, before the table is rejected.
 _UNIT_TOL = 1e-12
@@ -105,7 +102,8 @@ def _bins(edges):
 
 
 def _word(edge: float) -> int:
-    """The least raw word whose deviate is at least ``edge < 1``.
+    """The least raw word ``w`` whose deviate ``u = (w >> 11) * 2**-53``
+    is at least ``edge < 1``.
 
     Deviates are whole multiples of ``2**-53`` and ``edge * 2**53`` is
     exact, so ``u >= edge`` exactly when ``w >= _word(edge)``.  Every
@@ -113,7 +111,7 @@ def _word(edge: float) -> int:
     """
     if edge <= 0.0:
         return 0
-    return math.ceil(edge * 2.0 ** 53) << _WORD_SHIFT
+    return math.ceil(edge * 2.0 ** 53) << 11
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -159,8 +157,8 @@ class _TranscriptTable:
     overlap: np.ndarray
 
 
-# A cached table is shared: mc_batch's four calls need four root tables
-# and up to four recovery sub-tables.  A raised error is not cached.
+# Room for two points in both modes: four root tables and up to four
+# recovery sub-tables, with slack.  A raised error is not cached.
 @lru_cache(maxsize=16)
 def _transcript_table(params: ProtocolParams, weights: PovmWeights,
                       deterministic: bool) -> _TranscriptTable:
@@ -333,7 +331,7 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
     if input_state is not None:
         _check_input(input_state)
         fixed_weight = np.abs(input_state.permuted(("A", "B")).amps) ** 2
-    words = _rng_from_seed(seed, _DECISION_CHANNEL).bit_generator
+    bits = _rng_from_seed(seed, _DECISION_CHANNEL).bit_generator
     if weights is None:
         weights = optimum(params).weights
     table = _transcript_table(params, weights, deterministic)
@@ -341,8 +339,8 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
     hist = np.zeros(table.branch.size, dtype=np.int64)
     for done in range(0, trials, _CHUNK):
         n = min(_CHUNK, trials - done)
-        block = words.random_raw(5 * n).reshape(n, 5)
-        hist += np.bincount(_leaves(table, block), minlength=hist.size)
+        words = bits.random_raw(5 * n).reshape(n, 5)
+        hist += np.bincount(_leaves(table, words), minlength=hist.size)
 
     counts = [int(hist[table.branch == b].sum()) for b in (1, 2, 3)]
     reached = np.flatnonzero(hist)
