@@ -9,11 +9,11 @@ process and both counts, with the git revision, Python, numpy, CPU
 count and usable CPUs (the process's affinity set, which a shared host
 can make smaller than the CPU count) of the run: a spread between the
 process medians wider than the quartiles shows noise that one process
-does not.  Runs are stored under
+does not.  Each invocation appends its run to the list under its
 ``--label``, so one file can hold a parent and a change measured on the
-same machine: a later run replaces only the run with its own label.  The
-package is imported from the usual path, so ``PYTHONPATH`` selects the
-checkout that is measured.
+same machine in alternation (parent, change, parent, change), to be
+compared run against run.  The package is imported from the usual path,
+so ``PYTHONPATH`` selects the checkout that is measured.
 
 Example:
     PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH.json
@@ -158,7 +158,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to update")
     parser.add_argument("--label", required=True,
-                        help="name of this run in the file, e.g. parent")
+                        help="the run list to append to, e.g. parent")
     parser.add_argument("--size", choices=sorted(SIZES), default="full",
                         help="full: 1e6 trials, 400x400 sweeps (CSV and "
                              "JSON), 7 timed calls in each of 3 processes; "
@@ -166,10 +166,13 @@ def main() -> int:
     args = parser.parse_args()
     out = pathlib.Path(args.out)
     doc = (json.loads(out.read_text(encoding="utf-8")) if out.exists()
-           else {"schema": 1, "runs": {}})
-    doc["runs"][args.label] = measure(args.size)
+           else {"schema": 2, "runs": {}})
+    if doc.get("schema") != 2:
+        parser.error(f"{out} is not a schema 2 file; write to a new one")
+    runs = doc["runs"].setdefault(args.label, [])
+    runs.append(measure(args.size))
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote run {args.label!r} to {out}", file=sys.stderr)
+    print(f"wrote run {len(runs)} of {args.label!r} to {out}", file=sys.stderr)
     return 0
 
 

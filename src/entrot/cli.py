@@ -128,14 +128,14 @@ def _cmd_pmax(args: argparse.Namespace) -> int:
 _SWEEP_KEYS = ("theta_rad", "alpha_rad", "case", "x", "y", "p_max", "e_alpha",
                "avg_cost")
 
-#: One CSV ``sweep`` row, cells in ``_SWEEP_KEYS`` order: ``%s`` takes text
-#: formatted beforehand; ``%.12g`` writes what ``_fmt`` does.
-_CSV_ROW = "%s,%s,%s,%.12g,%.12g,%.12g,%s,%.12g"
-
-#: One JSON ``sweep`` row, cells in ``_SWEEP_KEYS`` order, all text
-#: formatted beforehand.
-_JSON_ROW = ("    {\n" + ",\n".join(f'      "{k}": %s' for k in _SWEEP_KEYS)
-             + "\n    }")
+#: One ``sweep`` row per format (JSON when True), cells in ``_SWEEP_KEYS``
+#: order: ``%s`` takes text formatted beforehand; ``%.12g`` writes what
+#: ``_fmt`` does.
+_SWEEP_ROW = {
+    False: "%s,%s,%s,%.12g,%.12g,%.12g,%s,%.12g",
+    True: ("    {\n" + ",\n".join(f'      "{k}": %s' for k in _SWEEP_KEYS)
+           + "\n    }"),
+}
 
 #: Points per block of whole theta rows that ``sweep`` formats and writes
 #: at once (at least one row), so that its memory does not grow with the
@@ -143,20 +143,9 @@ _JSON_ROW = ("    {\n" + ",\n".join(f'      "{k}": %s' for k in _SWEEP_KEYS)
 _SWEEP_BLOCK = 1 << 12
 
 
-def _json_float(value: float) -> str:
-    """What ``json`` writes for ``_round12(value)``, for a finite value."""
-    return repr(float(f"{value:.12g}"))
-
-
-def _csv_rows(columns: list, sep: str) -> str:
-    """CSV ``sweep`` rows joined by ``sep``, from ``columns`` as for
-    ``_json_rows``."""
-    cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns)
-    return sep.join(map(_CSV_ROW.__mod__, zip(*cells, strict=True)))
-
-
 def _json_cells(values: np.ndarray) -> list:
-    """``_json_float`` of each of ``values``, formatted a column at a time.
+    """What ``json`` writes for ``_round12`` of each of ``values``,
+    formatted a column at a time.
 
     A normal double tells any two 12-digit decimals apart, so ``repr`` of
     the rounded value keeps the digits of ``%.12g``, and both switch to
@@ -171,16 +160,8 @@ def _json_cells(values: np.ndarray) -> list:
     mag = np.abs(values)
     exact = (mag == 0.0) | ((mag >= _NORMAL_MIN) & (mag < 1e11))
     for i in np.flatnonzero(~exact).tolist():
-        cells[i] = _json_float(values[i])
+        cells[i] = repr(_round12(values[i]))
     return cells
-
-
-def _json_rows(columns: list, sep: str) -> str:
-    """JSON ``sweep`` rows joined by ``sep``, from ``columns`` in
-    ``_SWEEP_KEYS`` order: lists of text and 1-D float arrays."""
-    cells = (_json_cells(c) if isinstance(c, np.ndarray) else c
-             for c in columns)
-    return sep.join(map(_JSON_ROW.__mod__, zip(*cells, strict=True)))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -200,18 +181,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                     "rows": []}), indent=2)
         # reopen the empty "rows" list that ends the head
         head, sep, tail = head[:-len("[]\n}")] + "[\n", ",\n", "\n  ]\n}\n"
-        fmt, labels = _json_float, [json.dumps(c.value) for c in _CASES]
+        axis = number = _json_cells
+        labels = [json.dumps(c.value) for c in _CASES]
     else:
         head, sep, tail = ",".join(_SWEEP_KEYS) + "\n", "\n", "\n"
-        fmt, labels = _fmt, [c.value for c in _CASES]
-    t_cells, a_cells, e_cells = (list(map(fmt, v.tolist()))
-                                 for v in (thetas, alphas, e))
+        axis, number = functools.partial(map, _fmt), np.ndarray.tolist
+        labels = [c.value for c in _CASES]
+    t_cells, a_cells, e_cells = (list(axis(v)) for v in (thetas, alphas, e))
+    row = _SWEEP_ROW[args.json]
     with (contextlib.nullcontext(sys.stdout) if args.out in (None, "-") else
           open(args.out, "w", encoding="utf-8", newline="")) as fh:
         fh.write(head)
         for rows in blocks:
             cross, band, *numbers = _costs(ct[rows], st[rows], ca, sa, e)
-            x, y, p, cost = (v.ravel() for v in numbers)
+            x, y, p, cost = (number(v.ravel()) for v in numbers)
             t_rows = t_cells[rows]
             columns = [[t for t in t_rows for _ in range(n_a)],
                        a_cells * len(t_rows),
@@ -219,7 +202,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                        x, y, p, e_cells * len(t_rows), cost]
             if rows.start:
                 fh.write(sep)
-            fh.write((_json_rows if args.json else _csv_rows)(columns, sep))
+            fh.write(sep.join(map(row.__mod__, zip(*columns, strict=True))))
         fh.write(tail)
     return 0
 
@@ -239,7 +222,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     params = ProtocolParams(args.theta, args.alpha)
     best = optimum(params)
     state = _input_state(args.input)
-    stats = monte_carlo(params, args.trials, args.seed,
+    stats = monte_carlo(params, args.trials, args.seed, weights=best.weights,
                         input_state=state, deterministic=args.deterministic)
     payload = {
         "params": {

@@ -166,9 +166,10 @@ def _transcript_table(params: ProtocolParams, weights: PovmWeights,
 
     Prefixes are shared: steps 1-3 run once per sign and the POVM once
     per branch bin.  A failure's recovery depends only on the ``b``
-    outcome; its sub-table is this walk of the recovery attempt, built
-    once per outcome and multiplied into the failure's leaves.  A column
-    a transcript does not consult repeats the leaf along its axis.
+    outcome; its sub-table is this walk of the recovery attempt, which
+    the memo builds once per outcome, multiplied into the failure's
+    leaves.  A column a transcript does not consult repeats the leaf
+    along its axis.
     Raises ``ValueError`` for a non-positive POVM (from the POVM step),
     and when a leaf's probability or diagonal breaks the premise.
     """
@@ -183,7 +184,6 @@ def _transcript_table(params: ProtocolParams, weights: PovmWeights,
     branch = np.zeros(shape, dtype=np.int64)
     bell = np.zeros(shape, dtype=np.int64)
     b_bins = None
-    recovery: dict[int, _TranscriptTable | None] = {}
 
     start = initial_register(params.alpha, _PROBE)
     for i, (_, u_x) in enumerate(_bins(edges[0])):
@@ -208,14 +208,10 @@ def _transcript_table(params: ProtocolParams, weights: PovmWeights,
                 if u_b is None:
                     continue
                 residual, rest = failure_residual(post, povm, u_b)
-                if residual.b_outcome not in recovery:
-                    attempt = _recovery(
-                        wrap_angle(params.theta - residual.theta_f))
-                    recovery[residual.b_outcome] = (
-                        attempt and _transcript_table(*attempt, False))
-                sub = recovery[residual.b_outcome]
+                attempt = _recovery(wrap_angle(params.theta - residual.theta_f))
                 phases[i, k, j] = _reading(rest)
-                if sub is not None:
+                if attempt is not None:
+                    sub = _transcript_table(*attempt, False)
                     edges[3:] = sub.edges
                     phases[i, k, j] *= sub.phases.reshape(shape[3:] + (4,))
                     bell[i, k, j] = 1  # the recovery's resource, a Bell pair

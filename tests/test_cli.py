@@ -145,6 +145,16 @@ def test_sweep_file_output_matches_stdout(tmp_path, capsys):
     assert path.read_text(encoding="utf-8") == out
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_sweep_out_dash_writes_stdout(capsys, fmt):
+    """``--out -`` writes to stdout the bytes written without ``--out``."""
+    argv = ["sweep", "--theta-grid", "0.1pi:0.5pi:3",
+            "--alpha-grid", "0.2pi:0.5pi:4", *fmt]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+    assert run_cli(capsys, *argv, "--out", "-") == (0, out, "")
+
+
 def test_sweep_unwritable_path_exits_1(capsys):
     code, _, err = run_cli(capsys, "sweep", "--theta-grid", "0.1pi:0.2pi:2",
                            "--alpha-grid", "0.2pi:0.3pi:2",
@@ -258,19 +268,20 @@ def test_sweep_blocks_join_to_the_one_block_output(tmp_path, monkeypatch,
 
 
 def test_json_sweep_rounds_per_axis_point_not_per_cell(capsys, monkeypatch):
-    """On a regular 60 x 60 grid, ``_json_float`` runs once per theta,
-    alpha and e_alpha value; the cells go through the row template."""
-    calls, json_float = [], cli._json_float
+    """On a regular 60 x 60 grid (one block), ``_json_cells`` is handed
+    the theta, alpha and e_alpha axes once each and each number column
+    once, never a single cell; the cells go through the row template."""
+    calls, json_cells = [], cli._json_cells
 
-    def counted(value):
-        calls.append(value)
-        return json_float(value)
+    def counted(values):
+        calls.append(len(values))
+        return json_cells(values)
 
-    monkeypatch.setattr(cli, "_json_float", counted)
+    monkeypatch.setattr(cli, "_json_cells", counted)
     code, out, _ = run_cli(capsys, "sweep", "--theta-grid", "0.05pi:0.45pi:60",
                            "--alpha-grid", "0.1pi:0.5pi:60", "--json")
     assert code == 0 and len(json.loads(out)["rows"]) == 3600
-    assert len(calls) == 3 * 60
+    assert sorted(calls) == [60] * 3 + [3600] * 4
 
 
 #: Floats where ``%.12g`` and ``repr`` of its rounding part ways, or
@@ -296,16 +307,8 @@ JSON_NUMBERS = st.one_of(
 def test_json_numbers_are_the_rounded_repr(values):
     """Every number a JSON sweep row writes is ``repr(float(f"{v:.12g}"))``,
     what ``json`` writes for the rounded value, whatever its kind."""
-    n = len(values)
-    columns = [["0.5"] * n, ["0.25"] * n, ['"I"'] * n, np.array(values),
-               np.array(values[::-1]), np.array(values[1:] + values[:1]),
-               ["0.75"] * n, -np.array(values)]
-    want = [[repr(float(f"{v:.12g}")) for v in c.tolist()]
-            if isinstance(c, np.ndarray) else c for c in columns]
-    template = ("    {\n" + ",\n".join(f'      "{k}": %s'
-                                       for k in cli._SWEEP_KEYS) + "\n    }")
-    assert cli._json_rows(columns, ",\n") == ",\n".join(
-        template % row for row in zip(*want))
+    assert cli._json_cells(np.array(values)) == [
+        repr(float(f"{v:.12g}")) for v in values]
 
 
 def test_sweep_memory_is_bounded_by_the_block(tmp_path, checkout_env):

@@ -55,16 +55,17 @@ def test_threshold_script_rejects_a_zero_tol(checkout_env):
 
 
 def test_bench_script_schema(tmp_path, checkout_env):
-    """Two labelled tiny runs land in one file with the same schema; no
-    timing is checked."""
+    """Alternated labelled tiny runs are appended to one list per label
+    in one file with the same schema; no timing is checked."""
     out = tmp_path / "bench.json"
-    for label in ("parent", "change"):
+    for label in ("parent", "change", "parent"):
         proc = run_script(checkout_env, "bench.py", "--size", "tiny",
                           "--label", label, "--out", str(out))
         assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text(encoding="utf-8"))
-    assert doc["schema"] == 1 and set(doc["runs"]) == {"parent", "change"}
-    for label, run in doc["runs"].items():
+    assert doc["schema"] == 2 and set(doc["runs"]) == {"parent", "change"}
+    assert [len(runs) for runs in doc["runs"].values()] == [2, 1]
+    for run in (run for runs in doc["runs"].values() for run in runs):
         assert set(run) == {"git_sha", "git_dirty", "entrot", "python",
                             "numpy", "machine", "cpu_count", "usable_cpus",
                             "size", "paths"}
