@@ -86,6 +86,17 @@ def test_bench_script_schema(tmp_path, checkout_env):
             assert all(t > 0.0 for t in stats["process_medians_s"])
 
 
+def test_bench_script_refuses_a_schema_1_file(tmp_path, checkout_env):
+    """A file that keeps one run per label is left as it is."""
+    out = tmp_path / "bench.json"
+    out.write_text('{"schema": 1, "runs": {}}\n', encoding="utf-8")
+    proc = run_script(checkout_env, "bench.py", "--size", "tiny",
+                      "--label", "change", "--out", str(out))
+    assert proc.returncode == 2
+    assert "is not a schema 2 file" in proc.stderr
+    assert out.read_text(encoding="utf-8") == '{"schema": 1, "runs": {}}\n'
+
+
 def test_fingerprint_script(checkout_env):
     """One well-formed line per uniquely named case, the same on a rerun."""
     runs = [run_script(checkout_env, "fingerprint.py", "--size", "tiny")
