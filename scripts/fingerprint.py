@@ -7,6 +7,9 @@ case hashes the final state amplitudes (their raw bytes), transcript,
 residual and Bell pairs of a fixed set of seeded single runs; a
 ``monte_carlo`` case hashes the ``repr`` of every ``SummaryStats`` field
 of one seeded batch with non-optimal weights, which the CLI never uses.
+A ``pmax_oracle`` case hashes the ``repr`` of the search oracle's
+``(x, y, p)``, and a ``transcript_table`` case the bytes and dtype of
+every array of the Monte Carlo transcript tables at one point and mode.
 The package is imported from the usual path, so ``PYTHONPATH`` selects
 the checkout, and "byte-identical" between two checkouts is a ``diff``:
 
@@ -14,8 +17,8 @@ the checkout, and "byte-identical" between two checkouts is a ``diff``:
     PYTHONPATH=src python3 scripts/fingerprint.py > change.txt
     diff parent.txt change.txt
 
-``--size full`` adds more trials, a larger sweep grid and
-``verify --level full``.
+``--size full`` adds more trials, a larger sweep grid,
+``verify --level full`` and seeded oracle points.
 """
 
 import argparse
@@ -28,13 +31,15 @@ import math
 import numpy as np
 
 from entrot import (PovmWeights, ProtocolParams, haar_state, monte_carlo,
-                    optimum, run_once)
+                    optimum, pmax_oracle, run_once)
 from entrot.cli import main as cli_main
+from entrot.montecarlo import _transcript_table
 from entrot.qmath import StateVector
 
 #: Per size: simulate trials, sweep points per axis, run_once seeds per
-#: point and mode, and whether ``verify --level full`` runs.
-SIZES = {"tiny": (400, 6, 4, False), "full": (20_000, 40, 32, True)}
+#: point and mode, whether ``verify --level full`` runs, and seeded
+#: ``pmax_oracle`` points.
+SIZES = {"tiny": (400, 6, 4, False, 0), "full": (20_000, 40, 32, True, 32)}
 
 #: (theta, alpha) of the simulate and run_once cases: a case II and a
 #: case I optimum (branch 2 only occurs in case I), a Bell resource, and
@@ -52,6 +57,12 @@ PMAX_POINTS = (("0.25pi", "0.2pi"), ("0.45pi", "0.12pi"), ("0.5pi", "0.5pi"),
 #: residual leaves nothing to recover, and a case I point.
 MC_POINTS = (("1pi", "0.5pi"), ("0.45pi", "0.35pi"))
 MC_SCALE = 0.7
+
+#: (theta, alpha) of the ``pmax_oracle`` cases: the three optima the
+#: tests pin bit for bit, a case II point near the crossover, and small
+#: resources down to the oracle's least ``alpha``.
+ORACLE_POINTS = (("0.5pi", "pi/3"), ("0.25pi", "pi/6"), ("0.4pi", "0.5pi"),
+                 ("0.45pi", "0.12pi"), ("0.3", "1e-6"), ("1e-300", "1e-150"))
 
 #: (theta grid, alpha grid) pairs of the ``sweep:<name>:<format>`` cases,
 #: one hash per name and format.  ``edge``: angles down to the smallest
@@ -117,9 +128,24 @@ def _monte_carlo_digest(theta: float, alpha: float, deterministic: bool,
                      for field in dataclasses.fields(stats)))
 
 
+def _table_digest(theta: float, alpha: float, deterministic: bool) -> str:
+    """The transcript tables of the optimal and the scaled weights."""
+    params = ProtocolParams(theta, alpha)
+    best = optimum(params)
+    parts = []
+    for scale in (1.0, MC_SCALE):
+        weights = PovmWeights(best.x * scale, best.y * scale)
+        table = _transcript_table(params, weights, deterministic)
+        for field in dataclasses.fields(table):
+            value = getattr(table, field.name)
+            for a in value if isinstance(value, tuple) else (value,):
+                parts += [a.dtype.str, a.shape, a.tobytes()]
+    return _digest(*parts)
+
+
 def cases(size: str):
     """``(name, digest)`` pairs, in a fixed order."""
-    trials, points, seeds, full = SIZES[size]
+    trials, points, seeds, full, oracle_draws = SIZES[size]
     for theta, alpha in POINTS:
         for state in ("random", "01", "10"):
             for mode in ((), ("--deterministic",)):
@@ -162,9 +188,23 @@ def cases(size: str):
                              "deterministic" if deterministic else "plain"))
             yield name, _monte_carlo_digest(_angle(theta), _angle(alpha),
                                             deterministic, trials)
+    for theta, alpha in MC_POINTS + POINTS:
+        for deterministic in (False, True):
+            name = ":".join(("transcript_table", theta, alpha,
+                             "deterministic" if deterministic else "plain"))
+            yield name, _table_digest(_angle(theta), _angle(alpha),
+                                      deterministic)
+    drawn = np.random.default_rng(13).uniform(0.01, 0.5, (oracle_draws, 2))
+    for theta, alpha in ORACLE_POINTS + tuple(
+            (repr(t), repr(a)) for t, a in (drawn * math.pi).tolist()):
+        triple = pmax_oracle(ProtocolParams(_angle(theta), _angle(alpha)))
+        yield ":".join(("pmax_oracle", theta, alpha)), _digest(repr(triple))
 
 
 def _angle(text: str) -> float:
+    """``<k>pi`` is ``k`` times pi and ``pi/<n>`` is pi over ``n``."""
+    if text.startswith("pi/"):
+        return math.pi / float(text[3:])
     return float(text[:-2]) * math.pi if text.endswith("pi") else float(text)
 
 

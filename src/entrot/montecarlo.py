@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import pairwise
 
 import numpy as np
 
@@ -91,14 +92,12 @@ def _fid_units(count: np.ndarray, fid: np.ndarray) -> int:
 
 
 def _bins(edges):
-    """Cut [0, 1) at ``edges``.  Yields each bin's width and a deviate
-    inside it, as far from its ends as rounding allows (None when the
-    bin is empty)."""
-    cuts = (0.0, *edges, 1.0)
-    for lo, hi in zip(cuts, cuts[1:]):
-        mid = lo + 0.5 * (hi - lo)
-        inside = (mid if mid < hi else lo) if lo < hi else None
-        yield max(hi - lo, 0.0), inside
+    """Cut [0, 1) at ``edges``.  Yields the index of each nonempty bin and
+    a deviate inside it, as far from its ends as rounding allows."""
+    for i, (lo, hi) in enumerate(pairwise((0.0, *edges, 1.0))):
+        if lo < hi:
+            mid = lo + 0.5 * (hi - lo)
+            yield i, (mid if mid < hi else lo)
 
 
 def _word(edge: float) -> int:
@@ -183,44 +182,34 @@ def _transcript_table(params: ProtocolParams, weights: PovmWeights,
     phases = np.full(shape + (4,), np.nan, dtype=complex)
     branch = np.zeros(shape, dtype=np.int64)
     bell = np.zeros(shape, dtype=np.int64)
-    b_bins = None
 
     start = initial_register(params.alpha, _PROBE)
-    for i, (_, u_x) in enumerate(_bins(edges[0])):
-        if u_x is None:
-            continue
+    for i, u_x in _bins(edges[0]):
         reg, message = step1_alice(start, u_x)
         reg = step3_bob(step2_bob(reg, message))
-        for k, (_, u_povm) in enumerate(_bins(edges[1])):
-            if u_povm is None:
-                continue
+        for k, u_povm in _bins(edges[1]):
             got, post = step4_bob_povm(reg, povm, u_povm)
             branch[i, k] = got
             if got != 3:
                 phases[i, k] = _reading(finish_success(got, post)[0])
-                continue
-            if not deterministic:
-                continue
-            if b_bins is None:
+            elif deterministic:
                 edges[2] = (_b_edge(povm),)
-                b_bins = list(_bins(edges[2]))
-            for j, (_, u_b) in enumerate(b_bins):
-                if u_b is None:
-                    continue
-                residual, rest = failure_residual(post, povm, u_b)
-                attempt = _recovery(wrap_angle(params.theta - residual.theta_f))
-                phases[i, k, j] = _reading(rest)
-                if attempt is not None:
-                    sub = _transcript_table(*attempt, False)
-                    edges[3:] = sub.edges
-                    phases[i, k, j] *= sub.phases.reshape(shape[3:] + (4,))
-                    bell[i, k, j] = 1  # the recovery's resource, a Bell pair
+                for j, u_b in _bins(edges[2]):
+                    residual, rest = failure_residual(post, povm, u_b)
+                    attempt = _recovery(wrap_angle(params.theta - residual.theta_f))
+                    phases[i, k, j] = _reading(rest)
+                    if attempt is not None:
+                        sub = _transcript_table(*attempt, False)
+                        edges[3:] = sub.edges
+                        phases[i, k, j] *= sub.phases.reshape(shape[3:] + (4,))
+                        bell[i, k, j] = 1  # the recovery's resource, a Bell pair
 
     # Bin widths are clipped at 0, so each column's widths sum to at least
     # 1, with equality only for ordered edges in [0, 1].  Leaf
     # probabilities summing to 1 are therefore also finite and in [0, 1].
-    prob = reduce(np.multiply.outer,
-                  [np.array([w for w, _ in _bins(e)]) for e in edges])
+    prob = reduce(np.multiply.outer, [
+        np.array([max(hi - lo, 0.0) for lo, hi in pairwise((0.0, *e, 1.0))])
+        for e in edges])
     if not abs(prob.sum() - 1.0) <= _SUM_TOL:
         raise ValueError(
             f"transcript probabilities at {params} with {weights} are not "

@@ -452,46 +452,38 @@ _Y_BISECTIONS = 48
 ORACLE_MIN_ALPHA = 1e-150
 
 
-def _e3_min_eig(xs: np.ndarray, p1: np.ndarray, p2: np.ndarray):
-    """The smallest eigenvalue of ``E3 = I - x P1 - y P2`` at each ``x``
-    in ``xs``, as a function of ``ys``, read from the assembled matrix's
-    three entries by :func:`_min_eig2`.  The ``x`` side of each entry is
-    formed once; each call only subtracts ``y P2``.
+def _best_feasible_y(xs: np.ndarray, p1: np.ndarray,
+                     p2: np.ndarray) -> np.ndarray:
+    """Largest feasible ``y`` in [0, BOX) for each ``x``, by bisection.
+
+    ``feasible`` asks that the smallest eigenvalue of the assembled
+    ``E3 = I - x P1 - y P2``, read from its three entries by
+    :func:`_min_eig2`, be at least ``-EIG_TOL``; the ``x`` side of each
+    entry is formed once.  ``P2`` is PSD, so the feasible ``y`` form an
+    interval from 0 and bisection is exact.  No ``y = BOX`` passes: for
+    ``x >= 0``, ``u = v2/|v2|`` gives ``u^T E3 u <= 1 - BOX |v2|^2``, and
+    ``|v2|^2 = sin^2(theta/2)/cos^2(alpha/2) + cos^2(theta/2)/sin^2(alpha/2)
+    >= 1``, so the eigenvalue is at most -0.2, a sixth of the largest
+    term.  An ``x`` where even ``y = 0`` is infeasible gets ``-inf``, the
+    supremum of an empty set.
     """
     a0 = 1.0 - xs * p1[0, 0]
     b0 = -xs * p1[0, 1]
     d0 = 1.0 - xs * p1[1, 1]
 
-    def min_eig(ys: np.ndarray) -> np.ndarray:
+    def feasible(ys: np.ndarray) -> np.ndarray:
         return _min_eig2(a0 - ys * p2[0, 0], b0 - ys * p2[0, 1],
-                         d0 - ys * p2[1, 1])
+                         d0 - ys * p2[1, 1]) >= -EIG_TOL
 
-    return min_eig
-
-
-def _best_feasible_y(xs: np.ndarray, p1: np.ndarray,
-                     p2: np.ndarray) -> np.ndarray:
-    """Largest feasible ``y`` in [0, BOX] for each ``x``, by bisection.
-
-    Feasibility means the smallest eigenvalue of the assembled
-    ``E3 = I - x P1 - y P2``, taken from its three entries
-    (:func:`_e3_min_eig`), is at least ``-EIG_TOL``.  Because ``P2`` is
-    PSD the feasible ``y`` form an interval starting at 0, so bisection
-    on the eigenvalue sign is exact.  Entries return NaN when even
-    ``y = 0`` is infeasible for that ``x``.
-    """
-    min_eig = _e3_min_eig(xs, p1, p2)
     lo = np.zeros_like(xs)
-    alive = min_eig(lo) >= -EIG_TOL
+    alive = feasible(lo)
     hi = np.full_like(xs, BOX)
-    top = min_eig(hi) >= -EIG_TOL
-    lo[top] = BOX
     for _ in range(_Y_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        ok = min_eig(mid) >= -EIG_TOL
+        ok = feasible(mid)
         lo = np.where(ok, mid, lo)
         hi = np.where(ok, hi, mid)
-    lo[~alive] = np.nan
+    lo[~alive] = -np.inf
     return lo
 
 
@@ -529,7 +521,6 @@ def pmax_oracle(params: ProtocolParams,
         step = xs[1] - xs[0]
         ys = _best_feasible_y(xs, p1, p2)
         p = xs + ys
-        p[np.isnan(p)] = -np.inf
         i = int(np.argmax(p))  # xs increase: the first maximum is the smallest
         if p[i] > best[2] or (p[i] == best[2] and (xs[i], ys[i]) < best[:2]):
             best = (float(xs[i]), float(ys[i]), float(p[i]))

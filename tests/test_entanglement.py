@@ -1,12 +1,14 @@
 """Entanglement accounting: entropies, average cost, break-even angle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from entrot import entanglement
 from entrot.entanglement import (EntanglementReport, average_cost,
                                  binary_entropy, min_cost_over_alpha,
                                  resource_entropy, threshold_theta)
@@ -146,3 +148,12 @@ def test_threshold_validation():
     for bad in (1e-7, 1e-2, 0.0, -1e-4):
         with pytest.raises(ValueError):
             threshold_theta(bad)
+
+
+def test_threshold_names_a_bracket_that_misses_break_even(monkeypatch):
+    """A cost that never beats a Bell pair fails the bracket's low end."""
+    monkeypatch.setattr(entanglement, "min_cost_over_alpha",
+                        lambda theta, tol: (PI / 2, 1.0))
+    with pytest.raises(RuntimeError, match=re.escape(
+            "threshold bracket (0.1 pi, 0.4 pi) does not straddle break-even")):
+        threshold_theta()

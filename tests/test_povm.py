@@ -584,11 +584,13 @@ def test_entry_min_eig_matches_a_50_digit_reference():
                 y_zero = mpmath.det(m) / (w.T * adj * w)[0]
                 ys = [rng.uniform(0.0, povm.BOX)]
                 for centre in (float(y_zero), y_tol):
-                    if 0.0 <= centre <= povm.BOX:  # NaN: infeasible at y = 0
+                    if 0.0 <= centre <= povm.BOX:  # -inf: infeasible at y = 0
                         ys += (centre + ulps * np.spacing(centre)).tolist()
-                values = povm._e3_min_eig(np.full(len(ys), x), p1, p2)(
-                    np.array(ys))
-                got += [(x, y, v) for y, v in zip(ys, values.tolist())]
+                ys = np.array(ys)  # the entries as the oracle forms them
+                values = povm._min_eig2((1.0 - x * p1[0, 0]) - ys * p2[0, 0],
+                                        (-x * p1[0, 1]) - ys * p2[0, 1],
+                                        (1.0 - x * p1[1, 1]) - ys * p2[1, 1])
+                got += [(x, y, v) for y, v in zip(ys.tolist(), values.tolist())]
             best = optimum(params)
             for f in (1.0, 0.5):
                 weights = PovmWeights(f * best.x, f * best.y)

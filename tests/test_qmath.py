@@ -49,12 +49,29 @@ def test_psd_sqrt2_rejects_clearly_negative():
         psd_sqrt2(np.diag([1.0, -1e-6]))
 
 
+def test_psd_sqrt2_names_a_wrong_shape():
+    with pytest.raises(ValueError, match=re.escape(
+            "expected a 2x2 matrix, got shape (3, 3)")):
+        psd_sqrt2(np.eye(3))
+
+
 # ------------------------------------------------------- StateVector
 
 def test_basis_state_and_amplitude_layout():
     s = StateVector.basis(("p", "q"), "10")
     assert s.qubits == ("p", "q")
     assert np.array_equal(s.amps, [0, 0, 1, 0])
+
+
+def test_basis_rejects_a_bit_string_that_does_not_fit():
+    with pytest.raises(ValueError, match=re.escape(
+            "bit string '012' does not match ('A', 'B')")):
+        StateVector.basis(("A", "B"), "012")
+
+
+def test_dim_counts_the_amplitudes():
+    assert StateVector.basis(("A", "B"), "01").dim == 4
+    assert StateVector.basis(("A", "B", "C", "D"), "0110").dim == 16
 
 
 def test_state_requires_unique_labels_and_size_cap():
@@ -105,6 +122,13 @@ def test_permuted_moves_amplitudes_consistently():
     assert p.amps[0b110] == pytest.approx(s.amps[0b101])
     back = p.permuted(("u", "v", "w"))
     assert np.allclose(back.amps, s.amps)
+
+
+def test_permuted_rejects_other_labels():
+    s = StateVector.basis(("A", "B"), "01")
+    with pytest.raises(ValueError, match=re.escape(
+            "('A', 'C') is not a permutation of ('A', 'B')")):
+        s.permuted(("A", "C"))
 
 
 # -------------------------------------------------------- apply_gate
@@ -207,6 +231,14 @@ def test_fidelity_requires_normalized_inputs():
         fidelity(u, v)
 
 
+def test_fidelity_requires_the_same_register():
+    u = StateVector.basis(("A", "B"), "00")
+    v = StateVector.basis(("A", "C"), "00")
+    with pytest.raises(ValueError, match=re.escape(
+            "registers differ: ('A', 'B') vs ('A', 'C')")):
+        fidelity(u, v)
+
+
 def test_project_out_conditions_and_renormalizes():
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     s = StateVector(("p", "q"), [1.0, 2.0, 0.0, 0.0]).normalized()
@@ -246,6 +278,14 @@ def test_measure_qubit_rejects_bad_deviate():
     s = StateVector.basis(("q",), "0").tensor(StateVector.basis(("r",), "0"))
     with pytest.raises(ValueError):
         measure_qubit(s, "q", z, 1.0)
+
+
+def test_measure_qubit_rejects_a_state_without_weight():
+    z = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    s = StateVector(("q", "r"), np.zeros(4))
+    with pytest.raises(ValueError, match=re.escape(
+            "state has no weight in the measurement basis")):
+        measure_qubit(s, "q", z, 0.5)
 
 
 def test_expectation_on_product_state():
