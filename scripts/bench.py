@@ -1,29 +1,26 @@
 #!/usr/bin/env python3
-"""Time entrot's hot paths and record them in a JSON file.
+"""Time entrot's hot paths against another checkout's, in one process.
 
-Each path is called once untimed, then timed a fixed number of times
-with ``time.perf_counter``, in each of a few fresh processes run one
-after another (both counts per ``--size``).  Per path, the file keeps
-the median and quartiles of all the timed calls, the median of each
-process and both counts, with the git revision, Python, numpy, CPU
-count and usable CPUs (the process's affinity set, which a shared host
-can make smaller than the CPU count) of the run: a spread between the
-process medians wider than the quartiles shows noise that one process
-does not.  Each invocation appends its run to the list under its
-``--label``, so one file can hold a parent and a change measured on the
-same machine in alternation (parent, change, parent, change), to be
-compared run against run.  The package is imported from the usual path,
-so ``PYTHONPATH`` selects the checkout that is measured.
+The package on ``PYTHONPATH`` is one side; ``--against CHECKOUT`` loads
+the other's ``src/entrot`` as the package ``entrot_against`` (every
+import inside ``entrot`` is relative, so it runs its own modules).  Both
+sides build the same paths from identically seeded inputs, each with its
+own memos.  Each path runs once untimed on each side, then in timed
+pairs whose order flips every pair, so a slow spell of a shared host
+falls on both sides alike.  Per path, the file keeps each side's median
+and quartiles and the number of pairs the ``PYTHONPATH`` side won (a
+tie counts for neither).  An existing ``--out`` is replaced.
 
 Example:
-    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH.json
+    PYTHONPATH=src python3 scripts/bench.py --against ../parent --out BENCH.json
 """
 
 import argparse
+import importlib
+import importlib.util
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import pathlib
 import platform
@@ -32,22 +29,82 @@ import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 import entrot
-from entrot.cli import main as cli_main
-from entrot.montecarlo import _DECISION_CHANNEL, _transcript_table
-from entrot.protocol import _rng_from_seed
 
-#: Per size: Monte Carlo trials, sweep points per axis, timed calls per
-#: path and process, and processes.
-SIZES = {"full": (1_000_000, 400, 7, 3), "tiny": (1_000, 5, 3, 2)}
+#: Per size: Monte Carlo trials, sweep points per axis and timed pairs.
+SIZES = {"full": (1_000_000, 400, 21), "tiny": (1_000, 5, 3)}
 
 
-def _revision(where: pathlib.Path) -> dict:
-    """The checkout's HEAD and whether its tracked files differ from it."""
+def _load(checkout: pathlib.Path):
+    """``CHECKOUT/src/entrot``, imported as the package ``entrot_against``."""
+    where = checkout / "src" / "entrot"
+    spec = importlib.util.spec_from_file_location(
+        "entrot_against", where / "__init__.py",
+        submodule_search_locations=[str(where)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def _paths(package, size: str, workdir: str) -> dict:
+    """One side's call per path; every call is independent of the last."""
+    trials, points, _ = SIZES[size]
+    cli, mc, protocol = (importlib.import_module(f"{package.__name__}.{name}")
+                         for name in ("cli", "montecarlo", "protocol"))
+    params = package.ProtocolParams(math.pi / 4, math.pi / 6)
+    weights = package.optimum(params).weights
+    rng = np.random.default_rng(7)
+    state = package.haar_state(("A", "B"), rng.standard_normal(8))
+    seeds = itertools.count()
+    grid = f"0.05pi:0.5pi:{points}"
+
+    def sweep(*fmt):
+        out = os.path.join(workdir, package.__name__ + ("-json" if fmt else ""))
+        if cli.main(["sweep", "--theta-grid", grid, "--alpha-grid", grid,
+                     "--out", out, *fmt]) != 0:
+            raise RuntimeError("sweep failed")
+
+    def table():
+        mc._transcript_table.cache_clear()  # time a build, not a memo hit
+        return mc._transcript_table(params, weights, deterministic=True)
+
+    def oracle():
+        angles = rng.uniform(0.05, 0.5, 2) * math.pi
+        return package.pmax_oracle(
+            package.ProtocolParams(*angles.tolist()), resolution=1e-5)
+
+    return {
+        "monte_carlo": lambda: package.monte_carlo(params, trials, seed=1),
+        "monte_carlo_deterministic": lambda: package.monte_carlo(
+            params, trials, seed=1, deterministic=True),
+        "run_once": lambda: package.run_once(params, weights, state,
+                                             seed=next(seeds)),
+        "run_once_deterministic": lambda: package.run_once(
+            params, weights, state, seed=next(seeds), deterministic=True),
+        "decision_draws": lambda: protocol._rng_from_seed(
+            1, mc._DECISION_CHANNEL).bit_generator.random_raw(5 * trials),
+        "transcript_table": table,
+        "sweep": sweep,
+        "sweep_json": lambda: sweep("--json"),
+        "pmax_oracle": oracle,
+        "threshold_theta": lambda: package.threshold_theta(1e-4),
+    }
+
+
+def _quartiles(times: list) -> dict:
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"median_s": median, "q1_s": q1, "q3_s": q3}
+
+
+def _side(package) -> dict:
+    """One side's package directory, its checkout's HEAD and whether the
+    checkout's tracked files differ from it."""
+    where = pathlib.Path(package.__file__).resolve().parent
+
     def git(*argv):
         proc = subprocess.run(["git", "-C", str(where), *argv],
                               capture_output=True, text=True, check=False)
@@ -55,100 +112,43 @@ def _revision(where: pathlib.Path) -> dict:
 
     sha = git("rev-parse", "HEAD")
     status = git("status", "--porcelain", "--untracked-files=no")
-    return {"git_sha": sha, "git_dirty": None if sha is None else bool(status)}
+    return {"path": os.path.relpath(where), "git_sha": sha,
+            "git_dirty": None if sha is None else bool(status)}
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, which ``cpu_count`` ignores."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count()
-
-
-def _paths(size: str, workdir: str):
-    """``(name, call)`` pairs; every call is independent of the last."""
-    trials, points, _, _ = SIZES[size]
-    params = entrot.ProtocolParams(math.pi / 4, math.pi / 6)
-    weights = entrot.optimum(params).weights
-    rng = np.random.default_rng(7)
-    state = entrot.haar_state(("A", "B"), rng.standard_normal(8))
-    seeds = itertools.count()
-    grid = f"0.05pi:0.5pi:{points}"
-
-    def sweep(*fmt):
-        out = os.path.join(workdir, "grid.json" if fmt else "grid.csv")
-        if cli_main(["sweep", "--theta-grid", grid, "--alpha-grid", grid,
-                     "--out", out, *fmt]) != 0:
-            raise RuntimeError("sweep failed")
-
-    def table():
-        _transcript_table.cache_clear()  # time a build, not a memo hit
-        return _transcript_table(params, weights, deterministic=True)
-
-    def oracle():
-        angles = rng.uniform(0.05, 0.5, 2) * math.pi
-        return entrot.pmax_oracle(entrot.ProtocolParams(*angles.tolist()),
-                                  resolution=1e-5)
-
-    return [
-        ("monte_carlo", lambda: entrot.monte_carlo(params, trials, seed=1)),
-        ("monte_carlo_deterministic", lambda: entrot.monte_carlo(
-            params, trials, seed=1, deterministic=True)),
-        ("run_once", lambda: entrot.run_once(params, weights, state,
-                                             seed=next(seeds))),
-        ("run_once_deterministic", lambda: entrot.run_once(
-            params, weights, state, seed=next(seeds), deterministic=True)),
-        ("decision_draws", lambda: _rng_from_seed(
-            1, _DECISION_CHANNEL).bit_generator.random_raw(5 * trials)),
-        ("transcript_table", table),
-        ("sweep", sweep),
-        ("sweep_json", lambda: sweep("--json")),
-        ("pmax_oracle", oracle),
-        ("threshold_theta", lambda: entrot.threshold_theta(1e-4)),
-    ]
-
-
-def _times(size: str) -> dict:
-    """Each path's timed calls in this process, in seconds."""
-    repeats = SIZES[size][2]
-    times = {}
-    with tempfile.TemporaryDirectory(prefix="entrot-bench-") as workdir:
-        for name, call in _paths(size, workdir):
-            call()
-            times[name] = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                call()
-                times[name].append(time.perf_counter() - start)
-    return times
-
-
-def measure(size: str) -> dict:
-    trials, points, repeats, processes = SIZES[size]
-    runs = []
-    for _ in range(processes):
-        with ProcessPoolExecutor(
-                1, mp_context=multiprocessing.get_context("spawn")) as pool:
-            runs.append(pool.submit(_times, size).result())
+def measure(size: str, against) -> dict:
+    trials, points, pairs = SIZES[size]
     results = {}
-    for name in runs[0]:
-        q1, median, q3 = statistics.quantiles(
-            [t for run in runs for t in run[name]], n=4, method="inclusive")
-        results[name] = {
-            "median_s": median, "q1_s": q1, "q3_s": q3, "n": repeats,
-            "processes": processes,
-            "process_medians_s": [statistics.median(run[name])
-                                  for run in runs]}
+    with tempfile.TemporaryDirectory(prefix="entrot-bench-") as workdir:
+        ours, theirs = (_paths(package, size, workdir)
+                        for package in (entrot, against))
+        for name in ours:
+            calls = (ours[name], theirs[name])
+            for call in calls:
+                call()
+            times = ([], [])
+            for i in range(pairs):
+                for k in ((0, 1), (1, 0))[i % 2]:
+                    start = time.perf_counter()
+                    calls[k]()
+                    times[k].append(time.perf_counter() - start)
+            results[name] = {
+                "pythonpath": _quartiles(times[0]),
+                "against": _quartiles(times[1]),
+                "pythonpath_won": sum(a < b for a, b in zip(*times))}
     return {
-        **_revision(pathlib.Path(entrot.__file__).parent),
-        "entrot": entrot.__version__,
+        "schema": 3,
+        "pythonpath": _side(entrot),
+        "against": _side(against),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "usable_cpus": _usable_cpus(),
+        # the affinity set, which a shared host can make smaller
+        "usable_cpus": (len(os.sched_getaffinity(0))
+                        if hasattr(os, "sched_getaffinity") else None),
         "size": {"name": size, "monte_carlo_trials": trials,
-                 "sweep_points_per_axis": points,
+                 "sweep_points_per_axis": points, "pairs": pairs,
                  "pmax_oracle_resolution": 1e-5, "threshold_tol": 1e-4},
         "paths": results,
     }
@@ -156,23 +156,23 @@ def measure(size: str) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, help="JSON file to update")
-    parser.add_argument("--label", required=True,
-                        help="the run list to append to, e.g. parent")
+    parser.add_argument("--out", required=True,
+                        help="JSON file to write (replaced if it exists)")
+    parser.add_argument("--against", required=True, type=pathlib.Path,
+                        metavar="CHECKOUT",
+                        help="the checkout to compare with, e.g. the parent's")
     parser.add_argument("--size", choices=sorted(SIZES), default="full",
                         help="full: 1e6 trials, 400x400 sweeps (CSV and "
-                             "JSON), 7 timed calls in each of 3 processes; "
-                             "tiny: a schema check in seconds (default full)")
+                             "JSON), 21 timed pairs; tiny: a schema check "
+                             "in seconds (default full)")
     args = parser.parse_args()
-    out = pathlib.Path(args.out)
-    doc = (json.loads(out.read_text(encoding="utf-8")) if out.exists()
-           else {"schema": 2, "runs": {}})
-    if doc.get("schema") != 2:
-        parser.error(f"{out} is not a schema 2 file; write to a new one")
-    runs = doc["runs"].setdefault(args.label, [])
-    runs.append(measure(args.size))
-    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote run {len(runs)} of {args.label!r} to {out}", file=sys.stderr)
+    if not (args.against / "src" / "entrot" / "__init__.py").is_file():
+        parser.error(f"{args.against} has no src/entrot/__init__.py")
+    doc = measure(args.size, _load(args.against))
+    pathlib.Path(args.out).write_text(json.dumps(doc, indent=2) + "\n",
+                                      encoding="utf-8")
+    print(f"wrote {args.size} pairs against {args.against} to {args.out}",
+          file=sys.stderr)
     return 0
 
 

@@ -279,12 +279,13 @@ def build_povm(params: ProtocolParams, weights: PovmWeights) -> PovmSet:
 def _povm_set(params: ProtocolParams, weights: PovmWeights) -> PovmSet:
     """:func:`build_povm`'s work, once per distinct key."""
     v1, v2 = povm_vectors(params)
-    # below alpha ~ 1e-154 an outer product can overflow to inf; that only
-    # drives min_eig to -inf, which flags the weights infeasible
-    with np.errstate(over="ignore"):
+    # below alpha ~ 1e-154 an outer product can overflow to inf, and E3 can
+    # hold inf - inf; that only drives min_eig to -inf (hypot(inf, nan) is
+    # inf), which flags the weights infeasible
+    with np.errstate(over="ignore", invalid="ignore"):
         e1 = weights.x * np.outer(v1, v1) if weights.x else np.zeros((2, 2))
         e2 = weights.y * np.outer(v2, v2) if weights.y else np.zeros((2, 2))
-    e3 = np.eye(2) - e1 - e2
+        e3 = np.eye(2) - e1 - e2
     min_eig = float(_min_eig2(e3[0, 0], e3[0, 1], e3[1, 1]))
     for m in (e1, e2, e3):
         m.flags.writeable = False

@@ -210,6 +210,21 @@ def test_overflowing_elements_are_flagged_without_a_warning(alpha, x, y):
         monte_carlo(params, trials=16, seed=0, weights=weights)
 
 
+def test_elements_that_both_overflow_are_flagged_without_a_warning():
+    """When both weighted elements overflow, E3 holds ``inf - inf``.  The
+    POVM is still flagged with a min eigenvalue of -inf, and both entry
+    points stop on the one-line non-positive error, not on a warning."""
+    params = ProtocolParams(0.3, 1e-300)
+    weights = PovmWeights(1e300, 1e300)
+    s = build_povm(params, weights)
+    assert not s.positive and s.min_eig_e3 == -math.inf
+    message = r"^weights \(1e\+300, 1e\+300\) give a non-positive POVM"
+    with pytest.raises(ValueError, match=message):
+        run_once(params, weights, StateVector.basis(("A", "B"), "00"), seed=0)
+    with pytest.raises(ValueError, match=message):
+        monte_carlo(params, trials=16, seed=0, weights=weights)
+
+
 def _fresh(params, weights):
     """``build_povm`` on an empty memo, with ``sqrt_e3`` computed."""
     povm._povm_set.cache_clear()

@@ -3,10 +3,14 @@
 import json
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
+import textwrap
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+PACKAGE = ROOT / "src" / "entrot"
 
 
 def run_script(env, name, *argv):
@@ -54,47 +58,80 @@ def test_threshold_script_rejects_a_zero_tol(checkout_env):
     assert "math domain error" not in proc.stderr
 
 
-def test_bench_script_schema(tmp_path, checkout_env):
-    """Alternated labelled tiny runs are appended to one list per label
-    in one file with the same schema; no timing is checked."""
-    out = tmp_path / "bench.json"
-    for label in ("parent", "change", "parent"):
-        proc = run_script(checkout_env, "bench.py", "--size", "tiny",
-                          "--label", label, "--out", str(out))
-        assert proc.returncode == 0, proc.stderr
-    doc = json.loads(out.read_text(encoding="utf-8"))
-    assert doc["schema"] == 2 and set(doc["runs"]) == {"parent", "change"}
-    assert [len(runs) for runs in doc["runs"].values()] == [2, 1]
-    for run in (run for runs in doc["runs"].values() for run in runs):
-        assert set(run) == {"git_sha", "git_dirty", "entrot", "python",
-                            "numpy", "machine", "cpu_count", "usable_cpus",
-                            "size", "paths"}
-        assert run["size"]["name"] == "tiny"
-        assert isinstance(run["cpu_count"], int)
-        assert isinstance(run["usable_cpus"], int)
-        assert 1 <= run["usable_cpus"] <= run["cpu_count"]
-        assert set(run["paths"]) == {
-            "monte_carlo", "monte_carlo_deterministic", "run_once",
-            "run_once_deterministic", "transcript_table", "sweep",
-            "sweep_json", "pmax_oracle", "threshold_theta",
-            "decision_draws"}
-        for stats in run["paths"].values():
-            assert stats["n"] == 3  # the tiny size's timed calls
-            assert 0.0 < stats["q1_s"] <= stats["median_s"] <= stats["q3_s"]
-            assert stats["processes"] == 2  # and its processes
-            assert len(stats["process_medians_s"]) == 2
-            assert all(t > 0.0 for t in stats["process_medians_s"])
+PATHS = {"monte_carlo", "monte_carlo_deterministic", "run_once",
+         "run_once_deterministic", "transcript_table", "sweep", "sweep_json",
+         "pmax_oracle", "threshold_theta", "decision_draws"}
 
 
-def test_bench_script_refuses_a_schema_1_file(tmp_path, checkout_env):
-    """A file that keeps one run per label is left as it is."""
+def test_bench_script_compares_two_checkouts(tmp_path, checkout_env):
+    """A tiny run against a copy of this package replaces the file with
+    both sides' quartiles and the pair count per path; no timing is
+    checked."""
+    copy = tmp_path / "copy"
+    shutil.copytree(PACKAGE, copy / "src" / "entrot",
+                    ignore=shutil.ignore_patterns("__pycache__"))
     out = tmp_path / "bench.json"
-    out.write_text('{"schema": 1, "runs": {}}\n', encoding="utf-8")
+    out.write_text('{"schema": 2, "runs": {}}\n', encoding="utf-8")
     proc = run_script(checkout_env, "bench.py", "--size", "tiny",
-                      "--label", "change", "--out", str(out))
+                      "--against", str(copy), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert set(doc) == {"schema", "pythonpath", "against", "python", "numpy",
+                        "machine", "cpu_count", "usable_cpus", "size",
+                        "paths"}
+    assert doc["schema"] == 3
+    assert doc["size"]["name"] == "tiny" and doc["size"]["pairs"] == 3
+    assert isinstance(doc["cpu_count"], int)
+    assert 1 <= doc["usable_cpus"] <= doc["cpu_count"]
+    for side, where in (("pythonpath", PACKAGE),
+                        ("against", copy / "src" / "entrot")):
+        assert set(doc[side]) == {"path", "git_sha", "git_dirty"}
+        assert pathlib.Path(doc[side]["path"]).resolve() == where.resolve()
+    assert doc["against"]["git_sha"] is None
+    assert doc["against"]["git_dirty"] is None
+    assert set(doc["paths"]) == PATHS
+    for stats in doc["paths"].values():
+        assert 0 <= stats["pythonpath_won"] <= 3
+        for side in ("pythonpath", "against"):
+            assert 0.0 < stats[side]["q1_s"] <= stats[side]["median_s"] \
+                <= stats[side]["q3_s"]
+
+
+def test_bench_script_refuses_a_checkout_without_the_package(tmp_path,
+                                                             checkout_env):
+    """A directory without src/entrot/__init__.py is one argparse error
+    line, and no file is written."""
+    out = tmp_path / "bench.json"
+    proc = run_script(checkout_env, "bench.py", "--size", "tiny",
+                      "--against", str(tmp_path), "--out", str(out))
     assert proc.returncode == 2
-    assert "is not a schema 2 file" in proc.stderr
-    assert out.read_text(encoding="utf-8") == '{"schema": 1, "runs": {}}\n'
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert errors == [f"bench.py: error: {tmp_path} has no "
+                      "src/entrot/__init__.py"]
+    assert not out.exists()
+
+
+def test_package_imports_are_relative(checkout_env):
+    """The bench's second side is this package loaded under another name.
+    That runs its own code only if no module inside it imports ``entrot``
+    by its absolute name."""
+    code = textwrap.dedent(f"""
+        import importlib, importlib.util, os, sys
+        where = {str(PACKAGE)!r}
+        spec = importlib.util.spec_from_file_location(
+            "entrot_copy", os.path.join(where, "__init__.py"),
+            submodule_search_locations=[where])
+        sys.modules["entrot_copy"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["entrot_copy"])
+        cli = importlib.import_module("entrot_copy.cli")
+        print(cli.monte_carlo.__module__)
+        print(sorted(m for m in sys.modules
+                     if m == "entrot" or m.startswith("entrot.")))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300, env=checkout_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["entrot_copy.montecarlo", "[]"]
 
 
 def test_fingerprint_script(checkout_env):
