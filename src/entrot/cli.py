@@ -75,8 +75,6 @@ def _fmt(value: float) -> str:
 def _round12(obj):
     """Round every float in a JSON-ready structure to 12 significant
     digits, so reports are compact and byte-stable."""
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):

@@ -105,11 +105,9 @@ def _word(edge: float) -> int:
     is at least ``edge < 1``.
 
     Deviates are whole multiples of ``2**-53`` and ``edge * 2**53`` is
-    exact, so ``u >= edge`` exactly when ``w >= _word(edge)``.  Every
-    word passes an edge at or below 0.
+    exact, so ``u >= edge`` exactly when ``w >= _word(edge)``.  Edges
+    are never negative, and ``_word(0.0) == _word(-0.0) == 0``.
     """
-    if edge <= 0.0:
-        return 0
     return math.ceil(edge * 2.0 ** 53) << 11
 
 

@@ -70,7 +70,7 @@ def psd_sqrt2(m: np.ndarray) -> np.ndarray:
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
-        raise ValueError("matrix is not Hermitian within 1e-12")
+        raise ValueError(f"matrix is not Hermitian within {HERMITIAN_TOL}")
     w, v = np.linalg.eigh(m)
     if w[0] < -CLAMP_TOL:
         raise ValueError(f"matrix is not PSD: smallest eigenvalue {w[0]:.3e}")

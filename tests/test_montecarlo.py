@@ -121,16 +121,19 @@ def _case_edges():
             for e in col}
 
 
-@pytest.mark.parametrize("edge", sorted(set(WORD_EDGES) | _case_edges()))
+# -0.0 goes in by hand, as the set would fold it into 0.0
+@pytest.mark.parametrize("edge",
+                         [-0.0, *sorted(set(WORD_EDGES) | _case_edges())])
 def test_word_cut_is_exact_at_the_edge(edge):
     """A raw word reaches an edge's cut exactly when its deviate reaches
     the edge, on both sides of the cut and of the deviate steps next to
-    it.  An edge at or above 1 has no cut: no word's deviate reaches 1."""
+    it; at 0.0 and -0.0 that cut is word 0.  An edge at or above 1 has
+    no cut: no word's deviate reaches 1."""
     if edge >= 1.0:
         assert deviates(np.uint64(2 ** 64 - 1)) < 1.0
         return
     cut = montecarlo._word(edge)
-    assert 0 <= cut < 2 ** 64
+    assert 0 <= cut < 2 ** 64 and (cut == 0) == (edge == 0.0)
     words = [w for w in (cut - 2 ** 11, cut - 1, cut, cut + 2 ** 11 - 1,
                          cut + 2 ** 11) if 0 <= w < 2 ** 64]
     for w in words:
