@@ -8,8 +8,10 @@ residual and Bell pairs of a fixed set of seeded single runs; a
 ``monte_carlo`` case hashes the ``repr`` of every ``SummaryStats`` field
 of one seeded batch with non-optimal weights, which the CLI never uses.
 A ``pmax_oracle`` case hashes the ``repr`` of the search oracle's
-``(x, y, p)``, and a ``transcript_table`` case the bytes and dtype of
-every array of the Monte Carlo transcript tables at one point and mode.
+``(x, y, p)``, a ``transcript_table`` case the bytes and dtype of
+every array of the Monte Carlo transcript tables at one point and mode,
+and a ``norm`` case the amplitudes of a state normalized, or measured,
+at one scale, or its error.
 The package is imported from the usual path, so ``PYTHONPATH`` selects
 the checkout, and "byte-identical" between two checkouts is a ``diff``:
 
@@ -34,7 +36,7 @@ from entrot import (PovmWeights, ProtocolParams, haar_state, monte_carlo,
                     optimum, pmax_oracle, run_once)
 from entrot.cli import main as cli_main
 from entrot.montecarlo import _transcript_table
-from entrot.qmath import StateVector
+from entrot.qmath import StateVector, measure_qubit
 
 #: Per size: simulate trials, sweep points per axis, run_once seeds per
 #: point and mode, whether ``verify --level full`` runs, and seeded
@@ -76,6 +78,15 @@ EDGE_GRIDS = {
              ("0.25pi:0.5pi:3", "0.25pi:0.5pi:3")),
     "edge:subnormal": (("5e-324:1e-300:5", "2.3e-308:0.5pi:7"),),
 }
+
+#: Scales of the ``norm:haar_state`` cases, from where squared amplitudes
+#: underflow to where they overflow, and of the ``norm:measure_qubit``
+#: cases.
+HAAR_SCALES = ("1e-300", "1e-170", "1", "1e200", "1e300")
+MEASURE_SCALES = ("1e-170", "1e200")
+
+X_BASIS = (np.array([1.0, 1.0]) / math.sqrt(2.0),
+           np.array([1.0, -1.0]) / math.sqrt(2.0))
 
 
 def _digest(*parts) -> str:
@@ -126,6 +137,25 @@ def _monte_carlo_digest(theta: float, alpha: float, deterministic: bool,
                         deterministic=deterministic)
     return _digest(*(repr(getattr(stats, field.name))
                      for field in dataclasses.fields(stats)))
+
+
+def _norm_digest(kind: str, scale: float) -> str:
+    """Seeded deviates times ``scale``: the state ``haar_state`` makes of
+    them, or the outcome and post state of measuring ``A`` in the X
+    basis at two deviates."""
+    z = np.random.default_rng(17).standard_normal(8) * scale
+    parts = []
+    try:
+        if kind == "haar_state":
+            parts.append(haar_state(("A", "B"), z).amps.tobytes())
+        else:
+            state = StateVector(("A", "B"), z[:4] + 1j * z[4:])
+            for u in (0.25, 0.75):
+                outcome, post = measure_qubit(state, "A", X_BASIS, u)
+                parts += [outcome, post.amps.tobytes()]
+    except ValueError as exc:
+        parts.append(f"error: {exc}")
+    return _digest(*parts)
 
 
 def _table_digest(theta: float, alpha: float, deterministic: bool) -> str:
@@ -194,6 +224,10 @@ def cases(size: str):
                              "deterministic" if deterministic else "plain"))
             yield name, _table_digest(_angle(theta), _angle(alpha),
                                       deterministic)
+    for kind, scales in (("haar_state", HAAR_SCALES),
+                         ("measure_qubit", MEASURE_SCALES)):
+        for scale in scales:
+            yield f"norm:{kind}:{scale}", _norm_digest(kind, float(scale))
     drawn = np.random.default_rng(13).uniform(0.01, 0.5, (oracle_draws, 2))
     for theta, alpha in ORACLE_POINTS + tuple(
             (repr(t), repr(a)) for t, a in (drawn * math.pi).tolist()):

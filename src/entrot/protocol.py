@@ -232,7 +232,7 @@ def step4_bob_povm(register: StateVector, povm: PovmSet,
     # the other branch's vector is never normalized, as it may overflow at
     # a tiny alpha
     v = povm_vectors(povm.params)[branch - 1]
-    return branch, qmath.project_out(register, "b", v / np.linalg.norm(v))
+    return branch, qmath.project_out(register, "b", v / qmath._length(v))
 
 
 def finish_success(branch: int, register: StateVector

@@ -57,6 +57,12 @@ CLAMP_TOL = 1e-9
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+def _length(amps: np.ndarray) -> float:
+    """Euclidean length of ``amps``, the package's only one: each modulus
+    is a ``hypot`` and ``math.hypot`` scales, so no amplitude is squared."""
+    return math.hypot(*np.abs(amps).tolist())
+
+
 # Public and by this name: perfbench/run.py traces it (tests/test_api.py).
 def psd_sqrt2(m: np.ndarray) -> np.ndarray:
     """Unique positive-semidefinite square root of a 2x2 Hermitian PSD matrix.
@@ -142,9 +148,7 @@ class StateVector:
         return self.amps.size
 
     def norm(self) -> float:
-        # the two real dots np.linalg.norm takes for a complex vector
-        re, im = self.amps.real, self.amps.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
+        return _length(self.amps)
 
     def normalized(self) -> "StateVector":
         n = self.norm()
@@ -264,23 +268,22 @@ def measure_qubit(state: StateVector, qubit: str,
                   basis: Sequence[np.ndarray], u: float) -> tuple[int, StateVector]:
     """Projectively measure one qubit in a two-element orthonormal basis.
 
-    The Born weights are computed from the state; the caller supplies a
-    uniform deviate ``u`` in [0, 1) and the outcome is 0 when
-    ``u < p0 / (p0 + p1)``.  Returns ``(outcome, post)`` where ``post`` is
-    the normalized state of the remaining qubits (the measured qubit is
-    removed from the register).
+    The Born weights come from the branch lengths ``n0, n1``; the caller
+    supplies a uniform deviate ``u`` in [0, 1) and the outcome is 0 when
+    ``u < (n0 / hypot(n0, n1))**2``.  Returns ``(outcome, post)`` where
+    ``post`` is the kept branch divided by its length: the normalized
+    state of the remaining qubits (the measured qubit is removed).
     """
     if not 0.0 <= u < 1.0:
         raise ValueError(f"uniform deviate {u} outside [0, 1)")
     rest = _rest(state, qubit)
     r0, r1 = (_contract(state, qubit, v) for v in basis[:2])
-    p0 = float(np.vdot(r0, r0).real)
-    p1 = float(np.vdot(r1, r1).real)
-    if p0 + p1 < 1e-300:
+    n0, n1 = _length(r0), _length(r1)
+    n = math.hypot(n0, n1)
+    if n < 1e-300:
         raise ValueError("state has no weight in the measurement basis")
-    outcome = 0 if u < p0 / (p0 + p1) else 1
-    reduced = r0 if outcome == 0 else r1
-    return outcome, StateVector._of(rest, reduced).normalized()
+    outcome = 0 if u < (n0 / n) ** 2 else 1
+    return outcome, StateVector._of(rest, r1 / n1 if outcome else r0 / n0)
 
 
 def expectation(state: StateVector, op: np.ndarray, qubit: str) -> float:

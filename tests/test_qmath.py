@@ -96,8 +96,10 @@ def test_norm_and_normalized():
 
 
 def test_normalizing_null_state_fails():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cannot normalize a zero state$"):
         StateVector(("q",), [0.0, 0.0]).normalized()
+    with pytest.raises(ValueError, match="^cannot normalize a zero state$"):
+        haar_state(("p", "q"), np.zeros(8))
 
 
 def test_tensor_orders_labels_left_to_right():
@@ -304,6 +306,61 @@ def test_haar_state_is_deterministic_and_normalized():
     assert a.norm() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         haar_state(("p", "q"), np.zeros(6))
+
+
+# ---------------------------------------------- lengths at any scale
+#
+# pyproject.toml turns every RuntimeWarning into an error, so each test
+# here also shows that no overflow or underflow is reported on the way.
+
+Z_BASIS = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("m", [1e-170, 1e200])
+def test_haar_state_normalizes_at_any_scale(m):
+    """The state of eight equal deviates is the same at every scale,
+    also where their squares underflow (1e-170) or overflow (1e200)."""
+    want = haar_state(("A", "B"), np.ones(8)).amps
+    got = haar_state(("A", "B"), np.full(8, m))
+    assert abs(got.norm() - 1.0) <= 2 * EPS
+    assert np.abs(got.amps - want).max() <= 2 * EPS
+
+
+def test_normalized_keeps_a_state_whose_squares_overflow():
+    got = StateVector(("A",), [1e200, 1e200]).normalized()
+    assert np.abs(got.amps - math.sqrt(0.5)).max() <= 2 * EPS
+    assert abs(got.norm() - 1.0) <= 2 * EPS
+
+
+@pytest.mark.parametrize("m", [1e-170, 1e200])
+def test_measure_qubit_at_any_scale(m):
+    """``m (|00> + |11>)``: each outcome below and above the even split,
+    and a unit post state."""
+    s = StateVector(("A", "B"), [m, 0.0, 0.0, m])
+    for u, outcome, amps in ((0.25, 0, [1.0, 0.0]), (0.75, 1, [0.0, 1.0])):
+        got, post = measure_qubit(s, "A", Z_BASIS, u)
+        assert got == outcome
+        assert post.qubits == ("B",)
+        assert np.array_equal(post.amps, amps)
+        assert post.norm() == 1.0
+
+
+magnitudes = st.floats(1e-300, 1e300)
+
+
+@given(st.lists(st.tuples(magnitudes, st.booleans()), min_size=8,
+                max_size=8),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_lengths_hold_from_1e_300_to_1e300(parts, u):
+    """Eight deviates, each of any magnitude in [1e-300, 1e300]: the
+    normalized state and the post state of a measurement on the raw
+    vector have norm 1 within a few ulps."""
+    z = np.array([-m if negative else m for m, negative in parts])
+    assert abs(haar_state(("A", "B"), z).norm() - 1.0) <= 2 * EPS
+    _, post = measure_qubit(StateVector(("A", "B"), z[:4] + 1j * z[4:]),
+                            "A", Z_BASIS, u)
+    assert abs(post.norm() - 1.0) <= 2 * EPS
 
 
 # ------------------------------------------------- property checks

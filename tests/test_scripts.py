@@ -147,5 +147,5 @@ def test_fingerprint_script(checkout_env):
     assert len(set(names)) == len(names)
     assert {name.split(":")[0] for name in names} == {
         "simulate", "sweep", "pmax", "threshold", "verify", "run_once",
-        "monte_carlo", "transcript_table", "pmax_oracle"}
+        "monte_carlo", "transcript_table", "norm", "pmax_oracle"}
     assert runs[1].stdout == runs[0].stdout
