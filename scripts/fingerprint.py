@@ -36,6 +36,7 @@ from entrot import (PovmWeights, ProtocolParams, haar_state, monte_carlo,
                     optimum, pmax_oracle, run_once)
 from entrot.cli import main as cli_main
 from entrot.montecarlo import _transcript_table
+from entrot.protocol import _X_BASIS
 from entrot.qmath import StateVector, measure_qubit
 
 #: Per size: simulate trials, sweep points per axis, run_once seeds per
@@ -84,9 +85,6 @@ EDGE_GRIDS = {
 #: cases.
 HAAR_SCALES = ("1e-300", "1e-170", "1", "1e200", "1e300")
 MEASURE_SCALES = ("1e-170", "1e200")
-
-X_BASIS = (np.array([1.0, 1.0]) / math.sqrt(2.0),
-           np.array([1.0, -1.0]) / math.sqrt(2.0))
 
 
 def _digest(*parts) -> str:
@@ -151,7 +149,7 @@ def _norm_digest(kind: str, scale: float) -> str:
         else:
             state = StateVector(("A", "B"), z[:4] + 1j * z[4:])
             for u in (0.25, 0.75):
-                outcome, post = measure_qubit(state, "A", X_BASIS, u)
+                outcome, post = measure_qubit(state, "A", _X_BASIS, u)
                 parts += [outcome, post.amps.tobytes()]
     except ValueError as exc:
         parts.append(f"error: {exc}")
