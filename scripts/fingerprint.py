@@ -11,7 +11,8 @@ A ``pmax_oracle`` case hashes the ``repr`` of the search oracle's
 ``(x, y, p)``, a ``transcript_table`` case the bytes and dtype of
 every array of the Monte Carlo transcript tables at one point and mode,
 and a ``norm`` case the amplitudes of a state normalized, or measured,
-at one scale, or its error.
+at one scale, or its error; ``norm:StateVector`` normalizes four equal
+amplitudes whose length overflows a double.
 The package is imported from the usual path, so ``PYTHONPATH`` selects
 the checkout, and "byte-identical" between two checkouts is a ``diff``:
 
@@ -81,10 +82,11 @@ EDGE_GRIDS = {
 }
 
 #: Scales of the ``norm:haar_state`` cases, from where squared amplitudes
-#: underflow to where they overflow, and of the ``norm:measure_qubit``
-#: cases.
+#: underflow to where they overflow, of the ``norm:measure_qubit``
+#: cases, and of the ``norm:StateVector`` case, whose length overflows.
 HAAR_SCALES = ("1e-300", "1e-170", "1", "1e200", "1e300")
 MEASURE_SCALES = ("1e-170", "1e200")
+OVERFLOW_SCALES = ("1.5e308",)
 
 
 def _digest(*parts) -> str:
@@ -140,11 +142,15 @@ def _monte_carlo_digest(theta: float, alpha: float, deterministic: bool,
 def _norm_digest(kind: str, scale: float) -> str:
     """Seeded deviates times ``scale``: the state ``haar_state`` makes of
     them, or the outcome and post state of measuring ``A`` in the X
-    basis at two deviates."""
-    z = np.random.default_rng(17).standard_normal(8) * scale
+    basis at two deviates; or four amplitudes ``scale`` normalized."""
+    z = (np.full(8, scale) if kind == "StateVector"
+         else np.random.default_rng(17).standard_normal(8) * scale)
     parts = []
     try:
-        if kind == "haar_state":
+        if kind == "StateVector":
+            state = StateVector(("A", "B"), z[:4])
+            parts.append(state.normalized().amps.tobytes())
+        elif kind == "haar_state":
             parts.append(haar_state(("A", "B"), z).amps.tobytes())
         else:
             state = StateVector(("A", "B"), z[:4] + 1j * z[4:])
@@ -223,7 +229,8 @@ def cases(size: str):
             yield name, _table_digest(_angle(theta), _angle(alpha),
                                       deterministic)
     for kind, scales in (("haar_state", HAAR_SCALES),
-                         ("measure_qubit", MEASURE_SCALES)):
+                         ("measure_qubit", MEASURE_SCALES),
+                         ("StateVector", OVERFLOW_SCALES)):
         for scale in scales:
             yield f"norm:{kind}:{scale}", _norm_digest(kind, float(scale))
     drawn = np.random.default_rng(13).uniform(0.01, 0.5, (oracle_draws, 2))

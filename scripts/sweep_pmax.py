@@ -63,7 +63,10 @@ def main() -> int:
                         help="upper bound for both angles, in pi units")
     parser.add_argument("--out", default="pmax_grid.csv",
                         help="CSV output path (default pmax_grid.csv)")
-    return run(parser.parse_args())
+    args = parser.parse_args()
+    if args.points < 2:
+        parser.error(f"--points must be at least 2, got {args.points}")
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ Example:
 
 import argparse
 import math
+import sys
 
 import numpy as np
 
@@ -18,12 +19,19 @@ from entrot.entanglement import min_cost_over_alpha, threshold_theta
 
 
 def run(args: argparse.Namespace) -> int:
-    thetas = np.linspace(args.min_pi * math.pi, args.max_pi * math.pi,
-                         args.steps)
+    try:
+        thetas = np.linspace(args.min_pi * math.pi, args.max_pi * math.pi,
+                             args.steps)
+        curve = [(theta, *min_cost_over_alpha(float(theta), tol=args.tol))
+                 for theta in thetas]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    crossing = threshold_theta(tol=1e-4)
+
     rows = ["theta_pi,best_alpha_pi,min_cost"]
     print(f"{'theta/pi':>10} {'alpha*/pi':>10} {'min cost':>12}")
-    for theta in thetas:
-        alpha, cost = min_cost_over_alpha(float(theta), tol=args.tol)
+    for theta, alpha, cost in curve:
         # The golden-section bracket ends below --tol radians wide (a
         # tol the search has just accepted), and the cost is flat at its
         # minimum: print only the decimals of alpha/pi it resolves.
@@ -34,7 +42,6 @@ def run(args: argparse.Namespace) -> int:
         print(f"{theta / math.pi:10.4f} {alpha / math.pi:10.4f} "
               f"{cost:12.8f}{marker}")
 
-    crossing = threshold_theta(tol=1e-4)
     print(f"\nbreak-even gate angle: {crossing / math.pi:.6f} pi "
           f"({crossing:.6f} rad)")
     print("below it a tuned partial pair is cheaper than one ebit; "

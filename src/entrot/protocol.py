@@ -159,7 +159,7 @@ def _check_input(input_state: StateVector) -> None:
     """Reject a data state that is not a normalized state of ``A``, ``B``."""
     if set(input_state.qubits) != {"A", "B"}:
         raise ValueError(f"input must live on qubits A and B, got {input_state.qubits}")
-    if abs(input_state.norm() - 1.0) > 1e-9:
+    if abs(input_state.norm() - 1.0) > qmath._UNIT_TOL:
         raise ValueError("input state must be normalized")
 
 

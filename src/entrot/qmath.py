@@ -16,13 +16,9 @@ All operations are pure: they return new values and never mutate their
 inputs.  Randomness never enters this module; sampling decisions are
 made by callers who pass an explicit uniform deviate where needed.
 
-The public :class:`StateVector` constructor checks everything.  Results
-of pure operations on states that are already valid (a gate, a
-normalization, a relabelling, a product, a reduced state) go through
-the private ``StateVector._of`` instead.  Their labels are unique and
-their size fits by construction (``tensor`` checks a product's size
-itself), so ``_of`` checks only that the amplitudes are finite, which
-catches overflow at a tiny ``alpha``.  Each register layout is computed
+Every state, the results of operations included, is built by the one
+:class:`StateVector` constructor, and every state has a finite length,
+kept as :meth:`StateVector.norm`.  Each register layout is computed
 once per (register, targets) pair (:func:`_layout`).
 """
 
@@ -53,6 +49,12 @@ HERMITIAN_TOL = 1e-12
 
 #: Eigenvalues in [-CLAMP_TOL, 0) are treated as exact zeros by psd_sqrt2.
 CLAMP_TOL = 1e-9
+
+#: A state is normalized when its length is within this of 1.
+_UNIT_TOL = 1e-9
+
+#: A length below this is a zero state, which has no direction.
+_ZERO_LENGTH = 1e-300
 
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -93,13 +95,14 @@ class StateVector:
         Label for every qubit, most significant first.  Labels must be
         unique; the register may hold at most four qubits.
     amps:
-        Complex amplitudes of length ``2**len(qubits)``.  No normalization
-        is imposed here because intermediate Kraus updates legitimately
-        produce sub-normalized vectors; use :meth:`normalized` when a unit
-        vector is required.
+        Complex amplitudes of length ``2**len(qubits)``, copied.  Their
+        length, kept as :meth:`norm`, must be a finite double.  No
+        normalization is imposed here because intermediate Kraus updates
+        legitimately produce sub-normalized vectors; use
+        :meth:`normalized` when a unit vector is required.
     """
 
-    __slots__ = ("qubits", "amps")
+    __slots__ = ("qubits", "amps", "_norm")
 
     def __init__(self, qubits: Sequence[str], amps: Iterable[complex]):
         qubits = tuple(qubits)
@@ -111,24 +114,14 @@ class StateVector:
             raise ValueError(
                 f"amplitude count {amps.size} does not fit register {qubits}"
             )
-        self._fill(qubits, amps)
-
-    @classmethod
-    def _of(cls, qubits: tuple[str, ...], amps: np.ndarray) -> "StateVector":
-        """A state from a pure operation on valid states: ``qubits`` a
-        tuple of unique labels and ``amps`` a flat complex array of the
-        matching size, which nothing else writes to."""
-        self = object.__new__(cls)
-        self._fill(qubits, amps)
-        return self
-
-    def _fill(self, qubits: tuple[str, ...], amps: np.ndarray) -> None:
-        """The check both constructors keep, then the frozen fields."""
-        if not np.isfinite(amps).all():
-            raise ValueError("non-finite amplitude")
+        n = _length(amps)
+        if not n < math.inf:
+            raise ValueError("non-finite amplitude" if not np.isfinite(amps).all()
+                             else "state length exceeds the largest double")
         amps.flags.writeable = False
         object.__setattr__(self, "qubits", qubits)
         object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "_norm", n)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("StateVector is immutable")
@@ -148,31 +141,26 @@ class StateVector:
         return self.amps.size
 
     def norm(self) -> float:
-        return _length(self.amps)
+        return self._norm
 
     def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n < 1e-300:
+        if self._norm < _ZERO_LENGTH:
             raise ValueError("cannot normalize a zero state")
-        return StateVector._of(self.qubits, self.amps / n)
+        return StateVector(self.qubits, self.amps / self._norm)
 
     def tensor(self, other: "StateVector") -> "StateVector":
         """Product state; ``self`` supplies the most significant qubits."""
         if set(self.qubits) & set(other.qubits):
             raise ValueError("tensor operands share qubit labels")
-        qubits = self.qubits + other.qubits
-        amps = np.multiply.outer(self.amps, other.amps).reshape(-1)
-        if amps.size > MAX_DIM:
-            raise ValueError(
-                f"amplitude count {amps.size} does not fit register {qubits}")
-        return StateVector._of(qubits, amps)
+        return StateVector(self.qubits + other.qubits,
+                           np.multiply.outer(self.amps, other.amps))
 
     def permuted(self, order: Sequence[str]) -> "StateVector":
         """Same state with the register relabelled into ``order``."""
         order = tuple(order)
         if sorted(order) != sorted(self.qubits):
             raise ValueError(f"{order} is not a permutation of {self.qubits}")
-        return StateVector._of(order, _front(self, order)[0].reshape(-1))
+        return StateVector(order, _front(self, order)[0])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StateVector(qubits={self.qubits}, amps={np.array2string(self.amps, precision=5)})"
@@ -221,7 +209,7 @@ def apply_gate(state: StateVector, gate: np.ndarray,
         raise ValueError(f"gate shape {gate.shape} does not act on {k} qubit(s)")
     m, inverse = _front(state, targets)
     out = (gate @ m).reshape((2,) * len(state.qubits)).transpose(inverse)
-    return StateVector._of(state.qubits, out.reshape(-1))
+    return StateVector(state.qubits, out)
 
 
 def fidelity(u: StateVector, v: StateVector) -> float:
@@ -232,7 +220,7 @@ def fidelity(u: StateVector, v: StateVector) -> float:
     """
     if set(u.qubits) != set(v.qubits):
         raise ValueError(f"registers differ: {u.qubits} vs {v.qubits}")
-    if abs(u.norm() - 1.0) > 1e-9 or abs(v.norm() - 1.0) > 1e-9:
+    if abs(u.norm() - 1.0) > _UNIT_TOL or abs(v.norm() - 1.0) > _UNIT_TOL:
         raise ValueError("fidelity requires normalized states")
     if v.qubits != u.qubits:
         v = v.permuted(u.qubits)
@@ -261,7 +249,7 @@ def project_out(state: StateVector, qubit: str, vector: np.ndarray) -> StateVect
     Raises when the projection has (numerically) zero weight.
     """
     rest = _rest(state, qubit)
-    return StateVector._of(rest, _contract(state, qubit, vector)).normalized()
+    return StateVector(rest, _contract(state, qubit, vector)).normalized()
 
 
 def measure_qubit(state: StateVector, qubit: str,
@@ -280,10 +268,10 @@ def measure_qubit(state: StateVector, qubit: str,
     r0, r1 = (_contract(state, qubit, v) for v in basis[:2])
     n0, n1 = _length(r0), _length(r1)
     n = math.hypot(n0, n1)
-    if n < 1e-300:
+    if n < _ZERO_LENGTH:
         raise ValueError("state has no weight in the measurement basis")
     outcome = 0 if u < (n0 / n) ** 2 else 1
-    return outcome, StateVector._of(rest, r1 / n1 if outcome else r0 / n0)
+    return outcome, StateVector(rest, r1 / n1 if outcome else r0 / n0)
 
 
 def expectation(state: StateVector, op: np.ndarray, qubit: str) -> float:

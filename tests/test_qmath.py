@@ -87,6 +87,17 @@ def test_state_amps_are_write_protected():
         s.amps[0] = 5.0
 
 
+def test_constructor_copies_its_input():
+    """The caller's array stays writeable, and a later write to it does
+    not reach the state."""
+    amps = np.array([1.0, 0.0])
+    s = StateVector(("q",), amps)
+    assert amps.flags.writeable
+    amps[0] = 5.0
+    assert np.array_equal(s.amps, [1.0, 0.0])
+    assert s.norm() == 1.0
+
+
 def test_norm_and_normalized():
     s = StateVector(("q",), [3.0, 4.0])
     assert s.norm() == pytest.approx(5.0)
@@ -168,12 +179,12 @@ def test_apply_gate_rejects_unknown_target_and_bad_shape():
         apply_gate(s, np.eye(4, dtype=complex), ("p",))
 
 
-# ------------------------------------- checks on the private results
+# --------------------------------------- checks on operation results
 
 def test_results_of_operations_still_reject_non_finite_amplitudes():
-    """Results built by the private constructor skip the label and size
-    checks but keep the finiteness check: a gate or a product that
-    overflows raises, whatever numpy warns on the way."""
+    """Results of operations go through the same constructor and its
+    finiteness check: a gate or a product that overflows raises,
+    whatever numpy warns on the way."""
     s = StateVector(("p", "q"), [1.0, 1.0, 0.0, 0.0])
     huge = StateVector(("x",), [1e200, 0.0])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -327,6 +338,28 @@ def test_haar_state_normalizes_at_any_scale(m):
     assert np.abs(got.amps - want).max() <= 2 * EPS
 
 
+@pytest.mark.parametrize("build", [
+    lambda: StateVector(("A", "B"), [1.3e308, 1.3e308, 0.0, 0.0]),
+    lambda: StateVector(("A", "B"), [1.5e308] * 4),
+    lambda: haar_state(("A", "B"), np.full(8, 1.5e308)),
+    lambda: StateVector(("x",), [1.3e154, 1.3e154]).tensor(
+        StateVector(("y",), [1.3e154, 1.3e154])),
+], ids=["constructor", "four_equal", "haar_state", "tensor"])
+def test_a_length_above_the_largest_double_is_refused(build):
+    """Finite amplitudes whose length is no double: one error line, not
+    a state that normalizes to zeros."""
+    with pytest.raises(ValueError,
+                       match="^state length exceeds the largest double$"):
+        build()
+
+
+@pytest.mark.parametrize("amps", [[math.inf, 0.0], [0.0, math.nan],
+                                  [complex(math.nan, math.inf), 1e308]])
+def test_inf_and_nan_amplitudes_are_refused(amps):
+    with pytest.raises(ValueError, match="^non-finite amplitude$"):
+        StateVector(("A",), amps)
+
+
 def test_normalized_keeps_a_state_whose_squares_overflow():
     got = StateVector(("A",), [1e200, 1e200]).normalized()
     assert np.abs(got.amps - math.sqrt(0.5)).max() <= 2 * EPS
@@ -357,10 +390,13 @@ def test_lengths_hold_from_1e_300_to_1e300(parts, u):
     normalized state and the post state of a measurement on the raw
     vector have norm 1 within a few ulps."""
     z = np.array([-m if negative else m for m, negative in parts])
-    assert abs(haar_state(("A", "B"), z).norm() - 1.0) <= 2 * EPS
-    _, post = measure_qubit(StateVector(("A", "B"), z[:4] + 1j * z[4:]),
-                            "A", Z_BASIS, u)
+    unit = haar_state(("A", "B"), z)
+    assert abs(unit.norm() - 1.0) <= 2 * EPS
+    raw = StateVector(("A", "B"), z[:4] + 1j * z[4:])
+    _, post = measure_qubit(raw, "A", Z_BASIS, u)
     assert abs(post.norm() - 1.0) <= 2 * EPS
+    for s in (unit, raw, post):
+        assert s.norm() == qmath._length(s.amps)
 
 
 # ------------------------------------------------- property checks

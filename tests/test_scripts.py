@@ -8,6 +8,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 PACKAGE = ROOT / "src" / "entrot"
@@ -56,6 +58,34 @@ def test_threshold_script_rejects_a_zero_tol(checkout_env):
     assert proc.returncode != 0
     assert "tol must lie in [1e-8, 1e-3], got 0.0" in proc.stderr
     assert "math domain error" not in proc.stderr
+
+
+@pytest.mark.parametrize("name, argv, error", [
+    ("threshold_scan.py", ("--tol", "0"),
+     "error: tol must lie in [1e-8, 1e-3], got 0.0"),
+    ("threshold_scan.py", ("--tol", "1e-2"),
+     "error: tol must lie in [1e-8, 1e-3], got 0.01"),
+    ("threshold_scan.py", ("--min-pi", "0"),
+     "error: theta must lie in (0, pi/2], got 0.0"),
+    ("threshold_scan.py", ("--steps", "2", "--max-pi", "0.7"),
+     "error: theta must lie in (0, pi/2], got 2.199114857512855"),
+    ("threshold_scan.py", ("--steps", "-1"),
+     "error: Number of samples, -1, must be non-negative."),
+    ("sweep_pmax.py", ("--points", "1"),
+     "sweep_pmax.py: error: --points must be at least 2, got 1"),
+])
+def test_scripts_refuse_bad_options_before_any_output(tmp_path, checkout_env,
+                                                      name, argv, error):
+    """A refused option is one error line of the script's own, exit 2, no
+    stdout and no output file."""
+    out = tmp_path / "out.csv"
+    proc = run_script(checkout_env, name, *argv, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert [line for line in proc.stderr.splitlines()
+            if "error" in line] == [error]
+    assert "--theta-grid" not in proc.stderr
+    assert not out.exists()
 
 
 PATHS = {"monte_carlo", "monte_carlo_deterministic", "run_once",
