@@ -388,7 +388,8 @@ magnitudes = st.floats(1e-300, 1e300)
 def test_lengths_hold_from_1e_300_to_1e300(parts, u):
     """Eight deviates, each of any magnitude in [1e-300, 1e300]: the
     normalized state and the post state of a measurement on the raw
-    vector have norm 1 within a few ulps."""
+    vector have norm 1 within a few ulps, and every state's ``norm()``
+    is its length bit for bit."""
     z = np.array([-m if negative else m for m, negative in parts])
     unit = haar_state(("A", "B"), z)
     assert abs(unit.norm() - 1.0) <= 2 * EPS
