@@ -66,7 +66,10 @@ def main() -> int:
                         help="resource-angle refinement tolerance (radians)")
     parser.add_argument("--out", default=None,
                         help="optional CSV output path")
-    return run(parser.parse_args())
+    args = parser.parse_args()
+    if args.steps < 1:
+        parser.error(f"--steps must be at least 1, got {args.steps}")
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -9,18 +9,19 @@ probabilities depends on the data state, and every leaf acts on (A, B)
 as a constant diagonal unitary.
 
 So each call first looks up a *transcript table*, built once per
-parameter point, POVM and mode and then kept in a small memo: it runs
-the reference step functions of :mod:`entrot.protocol` on one fixed
-probe state, with a deviate from the middle of each outcome's interval,
-and reads each leaf's diagonal off the probe.  The labels (branch, Bell
-pairs, the folding of a vanishing failure branch) are whatever those
-steps returned.  A trial then needs no state simulation.  Its deviates
-pick a leaf by the thresholds :func:`~entrot.protocol.run_once`
-applies, set at the constant probabilities (1/2 for a sign, ``x`` and
-``x + y`` for the branch, the normalized ``c^2 r_j0^2 + s^2 r_j1^2``
-for ``b``) instead of each state's Born weights, which equal them up to
-round-off.  A failure's recovery leaves are the transcript table of the
-recovery attempt itself, walked the same way.  So a batch trial and a
+parameter point, POVM and mode and then kept in a small memo: it walks
+the protocol's attempt, the one generator behind
+:func:`~entrot.protocol.run_once`, on one fixed probe state, with a
+deviate from the middle of each outcome's interval, and reads each
+leaf's diagonal off the probe.  The labels (branch, Bell pairs, the
+folding of a vanishing failure branch) are whatever that walk returned.
+A trial then needs no state simulation.  Its deviates pick a leaf by
+the thresholds :func:`~entrot.protocol.run_once` applies, set at the
+constant probabilities (1/2 for a sign, ``x`` and ``x + y`` for the
+branch, the normalized ``c^2 r_j0^2 + s^2 r_j1^2`` for ``b``) instead
+of each state's Born weights, which equal them up to round-off.  A
+failure's recovery leaves are the transcript table of the recovery
+attempt itself, walked the same way.  So a batch trial and a
 single run given the same deviates pick the same branches unless a
 deviate falls within round-off of a threshold.
 
@@ -48,11 +49,9 @@ from itertools import pairwise
 import numpy as np
 
 from .entanglement import resource_entropy
-from .povm import PovmSet, PovmWeights, ProtocolParams, build_povm, optimum
-from .protocol import (_check_input, _recovery, _rng_from_seed,
-                       controlled_rotation, failure_residual, finish_success,
-                       initial_register, step1_alice, step2_bob, step3_bob,
-                       step4_bob_povm, wrap_angle)
+from .povm import PovmSet, PovmWeights, ProtocolParams, optimum
+from .protocol import (_check_input, _recovery, _rng_from_seed, _walk,
+                       controlled_rotation, wrap_angle)
 from .qmath import StateVector
 
 __all__ = ["SummaryStats", "monte_carlo"]
@@ -159,18 +158,18 @@ class _TranscriptTable:
 @lru_cache(maxsize=16)
 def _transcript_table(params: ProtocolParams, weights: PovmWeights,
                       deterministic: bool) -> _TranscriptTable:
-    """Run the reference steps once per leaf on the probe.
+    """Walk the protocol's attempt on the probe, one deviate per bin.
 
-    Prefixes are shared: steps 1-3 run once per sign and the POVM once
-    per branch bin.  A failure's recovery depends only on the ``b``
-    outcome; its sub-table is this walk of the recovery attempt, which
-    the memo builds once per outcome, multiplied into the failure's
-    leaves.  A column a transcript does not consult repeats the leaf
-    along its axis.
+    :func:`~entrot.protocol._walk` shares prefixes, so steps 1-3 run
+    once per sign and the POVM once per branch bin.  A plain table
+    offers the failure's ``b`` column as one whole bin and leaves those
+    leaves NaN.  A failure's recovery depends only on the ``b`` outcome;
+    its sub-table is this walk of the recovery attempt, which the memo
+    builds once per outcome, multiplied into the failure's leaves.  A
+    column a transcript does not consult repeats the leaf along its axis.
     Raises ``ValueError`` for a non-positive POVM (from the POVM step),
     and when a leaf's probability or diagonal breaks the premise.
     """
-    povm = build_povm(params, weights)
     edges = [_SIGN_EDGES, (weights.x, weights.x + weights.y)]
     if deterministic:
         # columns 2-4 stay one whole bin until a failure cuts them at the
@@ -181,26 +180,24 @@ def _transcript_table(params: ProtocolParams, weights: PovmWeights,
     branch = np.zeros(shape, dtype=np.int64)
     bell = np.zeros(shape, dtype=np.int64)
 
-    start = initial_register(params.alpha, _PROBE)
-    for i, u_x in _bins(edges[0]):
-        reg, message = step1_alice(start, u_x)
-        reg = step3_bob(step2_bob(reg, message))
-        for k, u_povm in _bins(edges[1]):
-            got, post = step4_bob_povm(reg, povm, u_povm)
-            branch[i, k] = got
-            if got != 3:
-                phases[i, k] = _reading(finish_success(got, post)[0])
-            elif deterministic:
-                edges[2] = (_b_edge(povm),)
-                for j, u_b in _bins(edges[2]):
-                    residual, rest = failure_residual(post, povm, u_b)
-                    attempt = _recovery(wrap_angle(params.theta - residual.theta_f))
-                    phases[i, k, j] = _reading(rest)
-                    if attempt is not None:
-                        sub = _transcript_table(*attempt, False)
-                        edges[3:] = sub.edges
-                        phases[i, k, j] *= sub.phases.reshape(shape[3:] + (4,))
-                        bell[i, k, j] = 1  # the recovery's resource, a Bell pair
+    def pick(column, povm):
+        if column == 2 and deterministic:
+            edges[2] = (_b_edge(povm),)
+        # a plain table has no column 2, which is then one whole bin
+        return _bins(edges[column] if column < len(edges) else ())
+
+    for bins, got, _, state, residual in _walk(params, weights, _PROBE, pick):
+        branch[bins[:2]] = got
+        if residual is None:
+            phases[bins] = _reading(state)
+        elif deterministic:
+            phases[bins] = _reading(state)
+            attempt = _recovery(wrap_angle(params.theta - residual.theta_f))
+            if attempt is not None:
+                sub = _transcript_table(*attempt, False)
+                edges[3:] = sub.edges
+                phases[bins] *= sub.phases.reshape(shape[3:] + (4,))
+                bell[bins] = 1  # the recovery's resource, a Bell pair
 
     # Bin widths are clipped at 0, so each column's widths sum to at least
     # 1, with equality only for ordered edges in [0, 1].  Leaf

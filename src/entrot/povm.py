@@ -466,7 +466,7 @@ def _best_feasible_y(xs: np.ndarray, p1: np.ndarray,
     ``|v2|^2 = sin^2(theta/2)/cos^2(alpha/2) + cos^2(theta/2)/sin^2(alpha/2)
     >= 1``, so the eigenvalue is at most -0.2, a sixth of the largest
     term.  An ``x`` where even ``y = 0`` is infeasible gets ``-inf``, the
-    supremum of an empty set.
+    supremum of an empty set, and only the others are bisected.
     """
     a0 = 1.0 - xs * p1[0, 0]
     b0 = -xs * p1[0, 1]
@@ -476,16 +476,18 @@ def _best_feasible_y(xs: np.ndarray, p1: np.ndarray,
         return _min_eig2(a0 - ys * p2[0, 0], b0 - ys * p2[0, 1],
                          d0 - ys * p2[1, 1]) >= -EIG_TOL
 
-    lo = np.zeros_like(xs)
-    alive = feasible(lo)
-    hi = np.full_like(xs, BOX)
+    alive = feasible(np.zeros_like(xs))
+    best = np.full_like(xs, -np.inf)
+    a0, b0, d0 = a0[alive], b0[alive], d0[alive]
+    lo = np.zeros_like(a0)
+    hi = np.full_like(a0, BOX)
     for _ in range(_Y_BISECTIONS):
         mid = 0.5 * (lo + hi)
         ok = feasible(mid)
         lo = np.where(ok, mid, lo)
         hi = np.where(ok, hi, mid)
-    lo[~alive] = -np.inf
-    return lo
+    best[alive] = lo
+    return best
 
 
 def pmax_oracle(params: ProtocolParams,

@@ -20,7 +20,9 @@ at ``alpha = pi/2`` the POVM becomes projective and never fails.
 Every function that resolves a measurement takes an explicit uniform
 deviate ``u`` instead of an RNG, so the steps stay pure and testable;
 :func:`run_once` owns the seeded generator and documents the draw
-order.  Classical communication is explicit: cross-party influence only
+order.  The step order is written once, in the walk behind
+:func:`run_once`, which the batch engine's transcript table follows too.
+Classical communication is explicit: cross-party influence only
 ever happens through the message objects returned by the steps.
 """
 
@@ -296,8 +298,9 @@ def recover_with_bell(state: StateVector, theta_remaining: float,
     attempt = _recovery(theta_remaining)
     if attempt is None:
         return state, [], 0
-    out = _execute(*attempt, state, (u_x, u_povm), False, 0)
-    return out.final_state, list(out.transcript), 1
+    _, _, messages, state, _ = next(
+        _walk(*attempt, state, _given((u_x, u_povm))))
+    return state, messages, 1
 
 
 def _rng_from_seed(seed: int, channel: int = 0) -> np.random.Generator:
@@ -314,6 +317,42 @@ def _rng_from_seed(seed: int, channel: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) + (channel << 64)))
 
 
+def _walk(params: ProtocolParams, weights: PovmWeights,
+          input_state: StateVector, pick):
+    """Run one attempt down every outcome that ``pick`` offers.
+
+    ``pick(column, povm)`` gives ``(bin, u)`` pairs for draw column 0
+    (Alice's x outcome), 1 (POVM branch) or 2 (failure b outcome); it is
+    asked for a column only when the attempt reaches it.  Prefixes are
+    shared: steps 1-3 run once per sign and the POVM once per branch.
+    Yields ``(bins, branch, messages, state, residual)`` per leaf, where
+    ``bins`` holds the bin of each column read and ``residual`` is None
+    after a success.
+    """
+    povm = build_povm(params, weights)
+    start = initial_register(params.alpha, input_state)
+    for i, u_x in pick(0, povm):
+        reg, xmsg = step1_alice(start, u_x)
+        reg = step3_bob(step2_bob(reg, xmsg))
+        for k, u_povm in pick(1, povm):
+            branch, post = step4_bob_povm(reg, povm, u_povm)
+            if branch != 3:
+                done, messages = finish_success(branch, post)
+                yield (i, k), branch, [xmsg, *messages], done, None
+                continue
+            for j, u_b in pick(2, povm):
+                residual, rest = failure_residual(post, povm, u_b)
+                yield ((i, k, j), branch,
+                       [xmsg, PovmResult(3), BasisResult(residual.b_outcome)],
+                       rest, residual)
+
+
+def _given(draws: Sequence[float]):
+    """The pick of an attempt whose uniforms are drawn: one bin per
+    column, holding that column's draw."""
+    return lambda column, _povm: ((0, draws[column]),)
+
+
 def _execute(params: ProtocolParams, weights: PovmWeights,
              input_state: StateVector, draws: Sequence[float],
              deterministic: bool, seed: int) -> RunOutcome:
@@ -323,27 +362,13 @@ def _execute(params: ProtocolParams, weights: PovmWeights,
     0 Alice's x outcome, 1 POVM branch, 2 failure b outcome,
     3 recovery x outcome, 4 recovery branch.
     """
-    povm = build_povm(params, weights)
-    reg = initial_register(params.alpha, input_state)
-    reg, xmsg = step1_alice(reg, draws[0])
-    transcript: list[ClassicalMessage] = [xmsg]
-    reg = step2_bob(reg, xmsg)
-    reg = step3_bob(reg)
-    branch, reg = step4_bob_povm(reg, povm, draws[1])
-    residual = None
+    _, branch, transcript, reg, residual = next(
+        _walk(params, weights, input_state, _given(draws)))
     bell = 0
-    if branch in (1, 2):
-        reg, messages = finish_success(branch, reg)
-        transcript.extend(messages)
-    else:
-        transcript.append(PovmResult(3))
-        residual, reg = failure_residual(reg, povm, draws[2])
-        transcript.append(BasisResult(residual.b_outcome))
-        if deterministic:
-            remaining = wrap_angle(params.theta - residual.theta_f)
-            reg, messages, bell = recover_with_bell(
-                reg, remaining, draws[3], draws[4])
-            transcript.extend(messages)
+    if residual is not None and deterministic:
+        remaining = wrap_angle(params.theta - residual.theta_f)
+        reg, messages, bell = recover_with_bell(reg, remaining, draws[3], draws[4])
+        transcript += messages
     return RunOutcome(branch=branch, transcript=tuple(transcript),
                       final_state=reg, residual=residual,
                       bell_pairs_consumed=bell, rng_seed=seed)

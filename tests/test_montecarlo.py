@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entrot import montecarlo
+from entrot import montecarlo, protocol
 from entrot.entanglement import average_cost, resource_entropy
 from entrot.montecarlo import SummaryStats, monte_carlo
 from entrot.povm import (HALF_PI, PovmWeights, ProtocolParams, build_povm,
@@ -324,7 +324,7 @@ def test_table_rejects_a_leaf_that_is_not_diagonal(monkeypatch,
         amps = register.permuted(("A", "B")).amps[::-1]
         return StateVector(("A", "B"), amps), []
 
-    monkeypatch.setattr(montecarlo, "finish_success", scrambled)
+    monkeypatch.setattr(protocol, "finish_success", scrambled)
     with pytest.raises(ValueError, match="diagonal unitary"):
         monte_carlo(ProtocolParams(0.3, 0.4), trials=10, seed=0)
 

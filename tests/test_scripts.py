@@ -70,7 +70,9 @@ def test_threshold_script_rejects_a_zero_tol(checkout_env):
     ("threshold_scan.py", ("--steps", "2", "--max-pi", "0.7"),
      "error: theta must lie in (0, pi/2], got 2.199114857512855"),
     ("threshold_scan.py", ("--steps", "-1"),
-     "error: Number of samples, -1, must be non-negative."),
+     "threshold_scan.py: error: --steps must be at least 1, got -1"),
+    ("threshold_scan.py", ("--steps", "0", "--tol", "0"),
+     "threshold_scan.py: error: --steps must be at least 1, got 0"),
     ("sweep_pmax.py", ("--points", "1"),
      "sweep_pmax.py: error: --points must be at least 2, got 1"),
 ])
