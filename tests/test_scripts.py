@@ -71,10 +71,10 @@ def test_threshold_script_rejects_a_zero_tol(checkout_env):
      "error: theta must lie in (0, pi/2], got 2.199114857512855"),
     ("threshold_scan.py", ("--steps", "-1"),
      "threshold_scan.py: error: --steps must be at least 1, got -1"),
-    ("threshold_scan.py", ("--steps", "0", "--tol", "0"),
-     "threshold_scan.py: error: --steps must be at least 1, got 0"),
     ("sweep_pmax.py", ("--points", "1"),
      "sweep_pmax.py: error: --points must be at least 2, got 1"),
+    ("threshold_scan.py", ("--steps", "0", "--tol", "0"),
+     "threshold_scan.py: error: --steps must be at least 1, got 0"),
 ])
 def test_scripts_refuse_bad_options_before_any_output(tmp_path, checkout_env,
                                                       name, argv, error):
