@@ -18,8 +18,9 @@ folding of a vanishing failure branch) are whatever that walk returned.
 A trial then needs no state simulation.  Its deviates pick a leaf by
 the thresholds :func:`~entrot.protocol.run_once` applies, set at the
 constant probabilities (1/2 for a sign, ``x`` and ``x + y`` for the
-branch, the normalized ``c^2 r_j0^2 + s^2 r_j1^2`` for ``b``) instead
-of each state's Born weights, which equal them up to round-off.  A
+branch, and for ``b`` the weight of ``b = 0`` that
+:func:`~entrot.protocol._failure_law` gives) instead of each state's
+Born weights, which equal them up to round-off.  A
 failure's recovery leaves are the transcript table of the recovery
 attempt itself, walked the same way.  So a batch trial and a
 single run given the same deviates pick the same branches unless a
@@ -49,9 +50,9 @@ from itertools import pairwise
 import numpy as np
 
 from .entanglement import resource_entropy
-from .povm import PovmSet, PovmWeights, ProtocolParams, optimum
-from .protocol import (_check_input, _recovery, _rng_from_seed, _walk,
-                       controlled_rotation, wrap_angle)
+from .povm import PovmWeights, ProtocolParams, optimum
+from .protocol import (_check_input, _failure_law, _recovery, _rng_from_seed,
+                       _walk, controlled_rotation)
 from .qmath import StateVector
 
 __all__ = ["SummaryStats", "monte_carlo"]
@@ -60,7 +61,7 @@ __all__ = ["SummaryStats", "monte_carlo"]
 _CHUNK = 1 << 14
 
 #: Fidelities are summed exactly, truncated to units of 2**-_FID_BITS,
-#: so the mean does not depend on the order of summation.
+#: so the mean is the correctly rounded quotient of an exact integer sum.
 _FID_BITS = 53
 
 #: Stream tag mixed into the Philox key (high 64 bits).  Tag 0 is never
@@ -120,18 +121,6 @@ def _reading(state: StateVector) -> np.ndarray:
     return state.permuted(("A", "B")).amps / _PROBE.amps
 
 
-def _b_edge(povm: PovmSet) -> float:
-    """Threshold of the failure ``b`` outcome: the weight of ``b = 0``.
-
-    Row ``j`` of the failure Kraus operator leaves weight
-    ``c^2 r_j0^2 + s^2 r_j1^2`` on ``b = j``, whatever the data state.
-    """
-    r = povm.sqrt_e3.real
-    pb = ((povm.params.cos_half_alpha * r[:, 0]) ** 2
-          + (povm.params.sin_half_alpha * r[:, 1]) ** 2)
-    return float(pb[0] / (pb[0] + pb[1]))
-
-
 @dataclass(frozen=True, eq=False)
 class _TranscriptTable:
     """Every transcript of one attempt, one leaf per cell of deviate bins.
@@ -182,17 +171,17 @@ def _transcript_table(params: ProtocolParams, weights: PovmWeights,
 
     def pick(column, povm):
         if column == 2 and deterministic:
-            edges[2] = (_b_edge(povm),)
+            edges[2] = (_failure_law(povm)[0],)
         # a plain table has no column 2, which is then one whole bin
         return _bins(edges[column] if column < len(edges) else ())
 
-    for bins, got, _, state, residual in _walk(params, weights, _PROBE, pick):
+    for bins, got, _, state, _, owed in _walk(params, weights, _PROBE, pick):
         branch[bins[:2]] = got
-        if residual is None:
+        if owed is None:
             phases[bins] = _reading(state)
         elif deterministic:
             phases[bins] = _reading(state)
-            attempt = _recovery(wrap_angle(params.theta - residual.theta_f))
+            attempt = _recovery(owed)
             if attempt is not None:
                 sub = _transcript_table(*attempt, False)
                 edges[3:] = sub.edges

@@ -231,6 +231,14 @@ class OptimumResult:
         return PovmWeights(self.x, self.y)
 
 
+def _half_angles(params: ProtocolParams) -> tuple[float, float, float, float]:
+    """``cos`` and ``sin`` of ``alpha/2``, then of ``theta/2``."""
+    # + 0.0 turns -0.0 into 0.0: equal thetas, equal vectors; a square,
+    # as in _success_invariants, is the same either way
+    return (params.cos_half_alpha, params.sin_half_alpha,
+            math.cos(params.theta / 2), math.sin(params.theta / 2) + 0.0)
+
+
 def povm_vectors(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized vectors whose outer products form ``E1`` and ``E2``.
 
@@ -238,11 +246,7 @@ def povm_vectors(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     carrier state on either vector turns the carrier into the target
     rotation (up to a known sign the parties undo afterwards).
     """
-    c = params.cos_half_alpha
-    s = params.sin_half_alpha
-    ct = math.cos(params.theta / 2)
-    # + 0.0 turns -0.0 into 0.0: equal thetas, equal vectors
-    st = math.sin(params.theta / 2) + 0.0
+    c, s, ct, st = _half_angles(params)
     v1 = np.array([ct / c, st / s])
     v2 = np.array([st / c, -ct / s])
     return v1, v2
@@ -304,10 +308,7 @@ def _success_invariants(params: ProtocolParams,
     factor finite, so both are finite for any weights that make ``E3``
     positive (then they lie in [0, 2] and [0, 1]).
     """
-    c = params.cos_half_alpha
-    s = params.sin_half_alpha
-    ct = math.cos(params.theta / 2)
-    st = math.sin(params.theta / 2)
+    c, s, ct, st = _half_angles(params)
     rx = math.sqrt(weights.x)
     ry = math.sqrt(weights.y)
     u = (rx * ct / c, rx * st / s, ry * st / c, ry * ct / s)

@@ -168,8 +168,7 @@ def _check_input(input_state: StateVector) -> None:
 def initial_register(alpha: float, input_state: StateVector) -> StateVector:
     """Adjoin a fresh resource pair to the data state, order (a, A, B, b)."""
     _check_input(input_state)
-    full = prepare_resource(alpha).tensor(input_state.permuted(("A", "B")))
-    return full.permuted(REGISTER_ORDER)
+    return prepare_resource(alpha).tensor(input_state).permuted(REGISTER_ORDER)
 
 
 def step1_alice(register: StateVector, u: float) -> tuple[StateVector, XResult]:
@@ -255,6 +254,24 @@ def finish_success(branch: int, register: StateVector
     return reg, [PovmResult(2)]
 
 
+def _failure_law(povm: PovmSet) -> tuple[float, tuple[float, float]]:
+    """The failure's ``b`` law and the rotation each outcome leaves.
+
+    Row ``j`` of the PSD square root of ``E3``, scaled by the resource
+    half-angle cosine/sine ``c, s``, is the arm ``(c r_j0, s r_j1)``.  It
+    puts weight ``c^2 r_j0^2 + s^2 r_j1^2`` on ``b = j`` whatever the data
+    state, and a rotation by ``theta_f = 2 atan2(s r_j1, c r_j0)`` on the
+    data.  Returns the normalized weight of ``b = 0`` and ``theta_f`` per
+    outcome.
+    """
+    c = povm.params.cos_half_alpha
+    s = povm.params.sin_half_alpha
+    arms = [(c * r0, s * r1) for r0, r1 in povm.sqrt_e3.real.tolist()]
+    w0, w1 = (x * x + y * y for x, y in arms)
+    return w0 / (w0 + w1), tuple(wrap_angle(2.0 * math.atan2(y, x))
+                                 for x, y in arms)
+
+
 def failure_residual(register: StateVector, povm: PovmSet,
                      u: float) -> tuple[ResidualGate, StateVector]:
     """Bob measures the leftover ``b`` and names the rotation that acted.
@@ -262,16 +279,12 @@ def failure_residual(register: StateVector, povm: PovmSet,
     After the branch-3 Kraus update the register is a superposition of
     ``|j>_b`` tensored with ``M_j |data>``, where ``M_j`` is built from
     row ``j`` of the PSD square root of ``E3``.  Each ``M_j`` is itself
-    proportional to a rotation by ``theta_f = 2 atan2(r_j1 s, r_j0 c)``
-    (``c, s`` the resource half-angle cosine/sine), so measuring ``b``
-    collapses the data register to a definite, known residual gate.
+    proportional to a rotation by a ``theta_f`` of
+    :func:`_failure_law`, so measuring ``b`` collapses the data register
+    to a definite, known residual gate.
     """
-    r = povm.sqrt_e3.real
     j, reduced = qmath.measure_qubit(register, "b", _Z_BASIS, u)
-    c = povm.params.cos_half_alpha
-    s = povm.params.sin_half_alpha
-    theta_f = wrap_angle(2.0 * math.atan2(r[j, 1] * s, r[j, 0] * c))
-    return ResidualGate(theta_f=theta_f, b_outcome=j), reduced
+    return ResidualGate(theta_f=_failure_law(povm)[1][j], b_outcome=j), reduced
 
 
 def _recovery(theta_remaining: float
@@ -298,7 +311,7 @@ def recover_with_bell(state: StateVector, theta_remaining: float,
     attempt = _recovery(theta_remaining)
     if attempt is None:
         return state, [], 0
-    _, _, messages, state, _ = next(
+    _, _, messages, state, _, _ = next(
         _walk(*attempt, state, _given((u_x, u_povm))))
     return state, messages, 1
 
@@ -325,9 +338,10 @@ def _walk(params: ProtocolParams, weights: PovmWeights,
     (Alice's x outcome), 1 (POVM branch) or 2 (failure b outcome); it is
     asked for a column only when the attempt reaches it.  Prefixes are
     shared: steps 1-3 run once per sign and the POVM once per branch.
-    Yields ``(bins, branch, messages, state, residual)`` per leaf, where
-    ``bins`` holds the bin of each column read and ``residual`` is None
-    after a success.
+    Yields ``(bins, branch, messages, state, residual, owed)`` per leaf,
+    where ``bins`` holds the bin of each column read, and ``residual``
+    and the rotation ``owed`` to complete the gate, ``theta - theta_f``
+    wrapped, are None after a success.
     """
     povm = build_povm(params, weights)
     start = initial_register(params.alpha, input_state)
@@ -338,13 +352,14 @@ def _walk(params: ProtocolParams, weights: PovmWeights,
             branch, post = step4_bob_povm(reg, povm, u_povm)
             if branch != 3:
                 done, messages = finish_success(branch, post)
-                yield (i, k), branch, [xmsg, *messages], done, None
+                yield (i, k), branch, [xmsg, *messages], done, None, None
                 continue
             for j, u_b in pick(2, povm):
                 residual, rest = failure_residual(post, povm, u_b)
+                owed = wrap_angle(params.theta - residual.theta_f)
                 yield ((i, k, j), branch,
                        [xmsg, PovmResult(3), BasisResult(residual.b_outcome)],
-                       rest, residual)
+                       rest, residual, owed)
 
 
 def _given(draws: Sequence[float]):
@@ -362,12 +377,11 @@ def _execute(params: ProtocolParams, weights: PovmWeights,
     0 Alice's x outcome, 1 POVM branch, 2 failure b outcome,
     3 recovery x outcome, 4 recovery branch.
     """
-    _, branch, transcript, reg, residual = next(
+    _, branch, transcript, reg, residual, owed = next(
         _walk(params, weights, input_state, _given(draws)))
     bell = 0
-    if residual is not None and deterministic:
-        remaining = wrap_angle(params.theta - residual.theta_f)
-        reg, messages, bell = recover_with_bell(reg, remaining, draws[3], draws[4])
+    if owed is not None and deterministic:
+        reg, messages, bell = recover_with_bell(reg, owed, draws[3], draws[4])
         transcript += messages
     return RunOutcome(branch=branch, transcript=tuple(transcript),
                       final_state=reg, residual=residual,

@@ -14,9 +14,9 @@ from entrot.entanglement import average_cost, resource_entropy
 from entrot.montecarlo import SummaryStats, monte_carlo
 from entrot.povm import (HALF_PI, PovmWeights, ProtocolParams, build_povm,
                          optimum)
-from entrot.protocol import (_execute, _recovery, _rng_from_seed,
-                             controlled_rotation, recover_with_bell,
-                             wrap_angle)
+from entrot.protocol import (_execute, _failure_law, _recovery,
+                             _rng_from_seed, controlled_rotation,
+                             recover_with_bell, run_once, wrap_angle)
 from entrot.qmath import (StateVector, apply_gate, fidelity, haar_state,
                           psd_sqrt2)
 
@@ -309,6 +309,27 @@ def test_walked_recovery_is_the_public_recovery(remaining):
     assert _recovery(0.0) is None and _recovery(-0.0) is None
 
 
+@pytest.mark.parametrize("deterministic", [False, True])
+@pytest.mark.parametrize("case", ["case_II_y_zero", "case_I",
+                                  "bell_half_turn"])
+def test_failures_read_one_failure_law(case, deterministic):
+    """A failed run's residual angle and the deterministic table's ``b``
+    threshold are both the failure law's, bit for bit."""
+    params, w = case_point(case)
+    weight, theta_f = _failure_law(build_povm(params, w))
+    table = montecarlo._transcript_table(params, w, deterministic=True)
+    assert [e.hex() for e in table.edges[2]] == [weight.hex()]
+    outcomes = set()
+    for seed, z in enumerate(input_normals(11, 64)):
+        out = run_once(params, w, haar_state(("A", "B"), z), seed,
+                       deterministic)
+        if out.residual is not None:
+            b = out.residual.b_outcome
+            assert out.residual.theta_f.hex() == theta_f[b].hex()
+            outcomes.add(b)
+    assert outcomes == {0, 1}
+
+
 @pytest.fixture
 def fresh_tables():
     """An empty table memo, so that a patched step really runs, and no
@@ -330,8 +351,8 @@ def test_table_rejects_a_leaf_that_is_not_diagonal(monkeypatch,
 
 
 @pytest.mark.parametrize("name,value", [
-    ("_b_edge", lambda *args: math.nan),        # not finite
-    ("_b_edge", lambda *args: 1.5),             # a bin wider than 1
+    ("_failure_law", lambda *args: (math.nan, None)),   # not finite
+    ("_failure_law", lambda *args: (1.5, None)),        # a bin wider than 1
     ("_SIGN_EDGES", (1.05,)),                   # bins summing to 1.05
 ], ids=["nan_edge", "bin_wider_than_1", "sum_above_1"])
 def test_table_rejects_probabilities_that_are_not_a_distribution(
