@@ -112,7 +112,7 @@ def _side(package) -> dict:
 
     sha = git("rev-parse", "HEAD")
     status = git("status", "--porcelain", "--untracked-files=no")
-    return {"path": os.path.relpath(where), "git_sha": sha,
+    return {"path": str(where), "git_sha": sha,
             "git_dirty": None if sha is None else bool(status)}
 
 

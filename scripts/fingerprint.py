@@ -35,7 +35,7 @@ import numpy as np
 
 from entrot import (PovmWeights, ProtocolParams, haar_state, monte_carlo,
                     optimum, pmax_oracle, run_once)
-from entrot.cli import main as cli_main
+from entrot.cli import _parse_angle, main as cli_main
 from entrot.montecarlo import _transcript_table
 from entrot.protocol import _X_BASIS
 from entrot.qmath import StateVector, measure_qubit
@@ -241,10 +241,11 @@ def cases(size: str):
 
 
 def _angle(text: str) -> float:
-    """``<k>pi`` is ``k`` times pi and ``pi/<n>`` is pi over ``n``."""
+    """``pi/<n>`` is pi over ``n``; anything else is read as the CLI
+    reads an angle."""
     if text.startswith("pi/"):
         return math.pi / float(text[3:])
-    return float(text[:-2]) * math.pi if text.endswith("pi") else float(text)
+    return _parse_angle(text)
 
 
 def main() -> int:

@@ -286,10 +286,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-#: argparse reads a separate ``-0.5pi`` as an option, not a value.
-_NEGATIVE_THETA = "; give a negative angle as --theta=-0.5pi"
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and reused after: it
@@ -301,13 +297,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "accounting.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pmax", help="optimal success probability at one point")
-    p.add_argument("--theta", type=_parse_angle, required=True,
-                   help="gate angle in (0, pi/2], radians or e.g. '0.25pi'; "
-                        "at alpha = pi/2 in (-pi, pi]" + _NEGATIVE_THETA)
-    p.add_argument("--alpha", type=_parse_angle, required=True,
-                   help="resource angle in (0, pi/2]")
-    p.add_argument("--json", action="store_true", help="emit JSON")
+    # argparse reads a separate ``-0.5pi`` as an option, so the help
+    # names the ``=`` form
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--theta", type=_parse_angle, required=True,
+                       help="gate angle in (0, pi/2], radians or e.g. "
+                            "'0.25pi'; at alpha = pi/2 in (-pi, pi]; give a "
+                            "negative angle as --theta=-0.5pi")
+    point.add_argument("--alpha", type=_parse_angle, required=True,
+                       help="resource angle in (0, pi/2]")
+
+    p = sub.add_parser("pmax", parents=[point],
+                       help="optimal success probability at one point")
     p.set_defaults(func=_cmd_pmax)
 
     p = sub.add_parser("sweep", help="tabulate the optimum over a grid")
@@ -319,34 +320,29 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="START:STOP:COUNT")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="output file (default: stdout)")
-    p.add_argument("--json", action="store_true",
-                   help="emit JSON instead of CSV")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("simulate", help="Monte Carlo protocol runs")
-    p.add_argument("--theta", type=_parse_angle, required=True,
-                   help="gate angle, as for pmax" + _NEGATIVE_THETA)
-    p.add_argument("--alpha", type=_parse_angle, required=True)
+    p = sub.add_parser("simulate", parents=[point],
+                       help="Monte Carlo protocol runs")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deterministic", action="store_true",
                    help="complete failed runs with a Bell pair")
     p.add_argument("--input", default="random",
                    help="'random' or a 2-bit basis string (default: random)")
-    p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("threshold", help="break-even gate angle")
     p.add_argument("--tol", type=float, default=1e-4,
                    help="bisection width in units of pi (default 1e-4)")
-    p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("verify", help="run self-consistency checks")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=_cmd_verify)
 
+    for p in sub.choices.values():  # every command takes --json, last
+        p.add_argument("--json", action="store_true", help="emit JSON")
     return parser
 
 

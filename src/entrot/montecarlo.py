@@ -13,10 +13,12 @@ parameter point, POVM and mode and then kept in a small memo: it walks
 the protocol's attempt, the one generator behind
 :func:`~entrot.protocol.run_once`, on one fixed probe state, with a
 deviate from the middle of each outcome's interval, and reads each
-leaf's diagonal off the probe.  The labels (branch, Bell pairs, the
-folding of a vanishing failure branch) are whatever that walk returned.
-A trial then needs no state simulation.  Its deviates pick a leaf by
-the thresholds :func:`~entrot.protocol.run_once` applies, set at the
+leaf's diagonal off the probe, in the walk's own register order: the
+probe's amplitudes all differ in modulus, so a leaf read in any other
+order fails the table's unit-modulus check.  The labels (branch, Bell
+pairs, the folding of a vanishing failure branch) are whatever that walk
+returned.  A trial then needs no state simulation.  Its deviates pick a
+leaf by the thresholds :func:`~entrot.protocol.run_once` applies, set at the
 constant probabilities (1/2 for a sign, ``x`` and ``x + y`` for the
 branch, and for ``b`` the weight of ``b = 0`` that
 :func:`~entrot.protocol._failure_law` gives) instead of each state's
@@ -117,8 +119,9 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 def _reading(state: StateVector) -> np.ndarray:
-    """The diagonal that took the probe to ``state``."""
-    return state.permuted(("A", "B")).amps / _PROBE.amps
+    """The diagonal that took the probe to ``state``, read in the walk's
+    own register order."""
+    return state.amps / _PROBE.amps
 
 
 @dataclass(frozen=True, eq=False)

@@ -150,8 +150,6 @@ class StateVector:
 
     def tensor(self, other: "StateVector") -> "StateVector":
         """Product state; ``self`` supplies the most significant qubits."""
-        if set(self.qubits) & set(other.qubits):
-            raise ValueError("tensor operands share qubit labels")
         return StateVector(self.qubits + other.qubits,
                            np.multiply.outer(self.amps, other.amps))
 

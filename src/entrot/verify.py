@@ -129,8 +129,9 @@ def _check_discriminant(rng: np.random.Generator) -> tuple[bool, str]:
             continue  # too close to the boundary to have a clean sign
         disc = povm.discriminant(params)
         best = povm.optimum(params)
-        want = povm.CaseLabel.CASE_II if disc > 0 else povm.CaseLabel.CASE_I
-        if best.case is not want:
+        want = (povm.CaseLabel.CASE_II if crossover > 0
+                else povm.CaseLabel.CASE_I)
+        if best.case is not want or (disc > 0) != (crossover > 0):
             bad += 1
     return bad == 0, f"{bad} sign/case mismatches over 200 draws"
 
@@ -162,8 +163,6 @@ def _check_boundary(rng: np.random.Generator) -> tuple[bool, str]:
         if not 0.0 < k < 1.0:
             continue
         alpha = math.acos(k)  # crossover line between the two regimes
-        if not (0.0 < alpha - 1e-9 and alpha + 1e-9 <= povm.HALF_PI):
-            continue
         lo = povm.optimum(povm.ProtocolParams(theta, alpha - 1e-9)).p_max
         hi = povm.optimum(povm.ProtocolParams(theta, alpha + 1e-9)).p_max
         worst = max(worst, abs(hi - lo))

@@ -543,7 +543,9 @@ def test_pmax_discriminant_zero_is_unsigned(capsys):
 
 def test_negative_angle_in_the_equals_form(capsys, monkeypatch):
     """A negative angle is given as ``--theta=-0.5pi``; as a separate
-    word argparse reads it as an option, and the help says so."""
+    word argparse reads it as an option, and the help says so.  Every
+    command's usage ends in ``[--json]``, and both commands that take a
+    point explain both of its angles."""
     monkeypatch.setenv("COLUMNS", "200")  # no help line wraps
     code, out, err = run_cli(capsys, "pmax", "--theta=-0.5pi",
                              "--alpha", "0.5pi")
@@ -558,6 +560,13 @@ def test_negative_angle_in_the_equals_form(capsys, monkeypatch):
                           ("sweep", "--theta-grid=-0.99pi:1pi:9")):
         code, out, _ = run_cli(capsys, command, "--help")
         assert code == 0 and form in out
+    for command in ("pmax", "sweep", "simulate", "threshold", "verify"):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert out.split("\n\n")[0].endswith(" [--json]")
+        if command in ("pmax", "simulate"):
+            assert re.search(r"--alpha ALPHA +resource angle in \(0, pi/2\]",
+                             out)
 
 
 def test_simulate_statistical_alarm_exits_3(capsys, monkeypatch):
@@ -732,6 +741,15 @@ def _infeasible_optimum(real):
     return optimum
 
 
+def _negated_crossover(real):
+    """``_closed_form`` whose crossover has the wrong sign: every case
+    label and discriminant sign flips, while the weights stay right."""
+    def closed_form(*trig):
+        cross, *rest = real(*trig)
+        return (-cross, *rest)
+    return closed_form
+
+
 #: (level, module, attribute, corruption of the real function, the check
 #: that must fail).  One defect per identity the checks tie together.
 SEEDED_DEFECTS = {
@@ -740,6 +758,8 @@ SEEDED_DEFECTS = {
     "discriminant": ("quick", povm, "discriminant",
                      lambda real: lambda p: -real(p),
                      "discriminant_case_split"),
+    "crossover": ("quick", povm, "_closed_form", _negated_crossover,
+                  "discriminant_case_split"),
     "build_povm": ("quick", povm, "build_povm",
                    lambda real: _shift_field(real, "e3", 1e-9),
                    "povm_completeness"),

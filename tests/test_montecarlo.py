@@ -350,6 +350,24 @@ def test_table_rejects_a_leaf_that_is_not_diagonal(monkeypatch,
         monte_carlo(ProtocolParams(0.3, 0.4), trials=10, seed=0)
 
 
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_table_rejects_data_on_another_register_order(monkeypatch,
+                                                      fresh_tables,
+                                                      deterministic):
+    """A leaf is read in the walk's own register order, (A, B); a walk
+    that left the data on (B, A) fails the probe's unit-modulus check
+    instead of being reordered."""
+    real = montecarlo._walk
+
+    def swapped(*args):
+        for bins, branch, messages, state, *rest in real(*args):
+            yield bins, branch, messages, state.permuted(("B", "A")), *rest
+
+    monkeypatch.setattr(montecarlo, "_walk", swapped)
+    with pytest.raises(ValueError, match="diagonal unitary"):
+        montecarlo._transcript_table(*case_point("case_I"), deterministic)
+
+
 @pytest.mark.parametrize("name,value", [
     ("_failure_law", lambda *args: (math.nan, None)),   # not finite
     ("_failure_law", lambda *args: (1.5, None)),        # a bin wider than 1

@@ -122,7 +122,7 @@ def test_tensor_orders_labels_left_to_right():
 
 
 def test_tensor_rejects_label_collision():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate qubit labels"):
         StateVector.basis(("x",), "0").tensor(StateVector.basis(("x",), "0"))
 
 

@@ -118,7 +118,7 @@ def test_bench_script_compares_two_checkouts(tmp_path, checkout_env):
     for side, where in (("pythonpath", PACKAGE),
                         ("against", copy / "src" / "entrot")):
         assert set(doc[side]) == {"path", "git_sha", "git_dirty"}
-        assert pathlib.Path(doc[side]["path"]).resolve() == where.resolve()
+        assert doc[side]["path"] == str(where.resolve())  # absolute
     assert doc["against"]["git_sha"] is None
     assert doc["against"]["git_dirty"] is None
     assert set(doc["paths"]) == PATHS
