@@ -17,10 +17,15 @@ leaf's diagonal off the probe, in the walk's own register order: the
 probe's amplitudes all differ in modulus, so a leaf read in any other
 order fails the table's unit-modulus check.  The labels (branch, Bell
 pairs, the folding of a vanishing failure branch) are whatever that walk
-returned.  A trial then needs no state simulation.  Its deviates pick a
-leaf by the thresholds :func:`~entrot.protocol.run_once` applies, set at the
-constant probabilities (1/2 for a sign, ``x`` and ``x + y`` for the
-branch, and for ``b`` the weight of ``b = 0`` that
+returned.  Alice's sign is one bin, in the attempt and in the recovery:
+after her controlled phase the two values of ``a`` sit on different
+values of ``b``, so her -1 arm is her +1 arm with its ``b = 1``
+amplitudes negated, and Bob's ``sz`` negates them back exactly.  The
+signs differ only in the transcript, so the table walks one of them.
+A trial then needs no state simulation.  Its other deviates pick a leaf
+by the thresholds :func:`~entrot.protocol.run_once` applies, set at the
+constant probabilities (``x`` and ``x + y`` for the branch, and for
+``b`` the weight of ``b = 0`` that
 :func:`~entrot.protocol._failure_law` gives) instead of each state's
 Born weights, which equal them up to round-off.  A failure's recovery
 leaves are the transcript table of the recovery attempt for the
@@ -45,6 +50,7 @@ deviates' own.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import pairwise
@@ -76,9 +82,6 @@ _DECISION_CHANNEL = 1
 #: the unit-modulus check instead of passing for a diagonal.
 _PROBE = StateVector(("A", "B"),
                      np.array([1.0, 2.0j, -3.0, -4.0j]) / math.sqrt(30.0))
-
-#: Deviate threshold of a fair x-basis outcome.
-_SIGN_EDGES = (0.5,)
 
 #: How far a leaf's diagonal may stray from unit modulus, and the leaf
 #: probabilities' sum from 1, before the table is rejected.
@@ -153,20 +156,21 @@ def _transcript_table(params: ProtocolParams, weights: PovmWeights,
     """Walk the protocol's attempt on the probe, one deviate per bin.
 
     :func:`~entrot.protocol._walk` shares prefixes, so steps 1-3 run
-    once per sign and the POVM once per branch bin.  A plain table
-    offers the failure's ``b`` column as one whole bin and leaves those
-    leaves NaN.  A failure's recovery depends only on the ``b`` outcome;
-    its sub-table is this walk of the recovery attempt, which the memo
-    builds once per outcome, multiplied into the failure's leaves.  A
-    column a transcript does not consult repeats the leaf along its axis.
+    once, for the one sign bin, and the POVM once per branch bin.  A
+    plain table offers the failure's ``b`` column as one whole bin and
+    leaves those leaves NaN.  A failure's recovery depends only on the
+    ``b`` outcome; its sub-table is this walk of the recovery attempt,
+    which the memo builds once per outcome, multiplied into the
+    failure's leaves.  A column a transcript does not consult repeats
+    the leaf along its axis.
     Raises ``ValueError`` for a non-positive POVM (from the POVM step),
     and when a leaf's probability or diagonal breaks the premise.
     """
-    edges = [_SIGN_EDGES, (weights.x, weights.x + weights.y)]
+    edges = [(), (weights.x, weights.x + weights.y)]
     if deterministic:
-        # columns 2-4 stay one whole bin until a failure cuts them at the
-        # b threshold and at the recovery attempt's own edges
-        edges += [(1.0,), (1.0,), (1.0, 1.0)]
+        # columns 2 and 4 stay one whole bin until a failure cuts them at
+        # the b threshold and at the recovery attempt's own branch edges
+        edges += [(1.0,), (), (1.0, 1.0)]
     shape = tuple(len(e) + 1 for e in edges)
     phases = np.full(shape + (4,), np.nan, dtype=complex)
     branch = np.zeros(shape, dtype=np.int64)
@@ -261,7 +265,8 @@ class SummaryStats:
     transcript: exact for a fixed input, and averaged over Haar inputs
     otherwise.  It is None when no trial finished.  ``empirical_p``
     counts branches 1-2 over all trials; ``z_score`` compares it with
-    ``analytic_p = x + y`` under the binomial standard error.
+    ``analytic_p = x + y``, capped at 1, under the binomial standard
+    error: 0 when they agree at a certain law, infinite when they differ.
     ``mean_ebits`` is the resource entropy plus Bell pairs spent per
     trial.
     """
@@ -326,12 +331,13 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
     success = counts[0] + counts[1]
     empirical_p = success / trials
     analytic_p = weights.x + weights.y
-    se = math.sqrt(analytic_p * (1.0 - analytic_p) / trials)
-    if se == 0.0:
-        z = 0.0 if empirical_p == analytic_p else math.copysign(
-            math.inf, empirical_p - analytic_p)
-    else:
-        z = (empirical_p - analytic_p) / se
+    # x + y may round above 1, and a tiny law's variance may underflow
+    law = min(analytic_p, 1.0)
+    var = law * (1.0 - law) / trials
+    se = (math.sqrt(var) if var >= sys.float_info.min
+          else math.sqrt(law) * math.sqrt((1.0 - law) / trials))
+    gap = empirical_p - law
+    z = gap / se if se else math.copysign(math.inf, gap) if gap else 0.0
     mean_bell = bell_sum / trials
     return SummaryStats(
         params=params, weights=weights, trials=int(trials), seed=int(seed),

@@ -1,6 +1,7 @@
 """Batched sampling engine: agreement with single runs and statistics."""
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrot import montecarlo, protocol
+from entrot.cli import main
 from entrot.entanglement import average_cost, resource_entropy
 from entrot.montecarlo import SummaryStats, monte_carlo
 from entrot.povm import (HALF_PI, PovmWeights, ProtocolParams, build_povm,
@@ -203,12 +205,12 @@ def test_haar_average_of_a_residual_gate(delta, haar_weights):
             fidelity(phi, StateVector(("A", "B"), c * phi.amps)), abs=1e-12)
 
 
-def _born_thresholds(theta, alpha, weights, phi, plus):
+def _born_thresholds(theta, alpha, weights, phi, u_sign):
     """Steps 1-4 simulated on every row of ``phi``, the way a
-    state-simulating engine thresholds its deviates: the sign threshold
-    p(+1) from each trial's own state, then, after the sign ``plus``,
-    the branch thresholds ``(p1, p1 + p2)`` and the register (n, A, B, b)
-    the POVM acts on."""
+    state-simulating engine thresholds its deviates: the sign is +1 where
+    ``u_sign`` is below p(+1) of each trial's own state, as in a single
+    run, and after it come the branch thresholds ``(p1, p1 + p2)`` and
+    the register (n, A, B, b) the POVM acts on."""
     c, s = math.cos(alpha / 2), math.sin(alpha / 2)
     pair = np.array([[c, 0.0], [0.0, 1j * s]])            # (a, b)
     reg = np.einsum("ab,nxy->naxyb", pair, phi.reshape(-1, 2, 2))
@@ -216,7 +218,7 @@ def _born_thresholds(theta, alpha, weights, phi, plus):
     arms = ((reg[:, 0] + reg[:, 1]) / math.sqrt(2),       # <+|_a, <-|_a
             (reg[:, 0] - reg[:, 1]) / math.sqrt(2))
     p_arm = [np.sum(np.abs(arm) ** 2, axis=(1, 2, 3)) for arm in arms]
-    t_sign = p_arm[0] / (p_arm[0] + p_arm[1])
+    plus = u_sign < p_arm[0] / (p_arm[0] + p_arm[1])
     reg = np.where(plus[:, None, None, None], arms[0], arms[1])
     reg = reg / np.sqrt(np.sum(np.abs(reg) ** 2, axis=(1, 2, 3)))[:, None,
                                                                   None, None]
@@ -225,7 +227,7 @@ def _born_thresholds(theta, alpha, weights, phi, plus):
     povm = build_povm(ProtocolParams(theta, alpha), weights)
     p1, p2 = (np.einsum("nxyb,bc,nxyc->n", reg.conj(), e, reg).real
               for e in (povm.e1, povm.e2))
-    return t_sign, np.stack([p1, p1 + p2], axis=1), reg, povm
+    return np.stack([p1, p1 + p2], axis=1), reg, povm
 
 
 def _bin(u, edges):
@@ -241,23 +243,22 @@ def test_constant_thresholds_match_born_weights(theta, alpha):
     """The table thresholds every draw at a constant probability, where
     a state simulation thresholds it at the Born weight of each trial's
     own state.  Over 2**17 Haar trials no draw may land between the two,
-    on any column the transcript consults (recovery included)."""
+    on any column the transcript consults (recovery included).  The
+    table has no sign threshold: each trial's sign is the single run's."""
     params = ProtocolParams(theta, alpha)
     w = optimum(params).weights
     table = montecarlo._transcript_table(params, w, deterministic=True)
-    sign_e, branch_e, b_e, rsign_e, rbranch_e = table.edges
+    _, branch_e, b_e, _, rbranch_e = table.edges
     n = 1 << 17
     draws = deviates(engine_streams(5, n))
     z = input_normals(5, n)
     phi = z[:, :4] + 1j * z[:, 4:]
     phi /= np.linalg.norm(phi, axis=1, keepdims=True)
 
-    plus = draws[:, 0] < sign_e[0]
-    t_sign, t_branch, reg, povm = _born_thresholds(theta, alpha, w, phi, plus)
-    mismatches = int(np.sum(plus != (draws[:, 0] < t_sign)))
+    t_branch, reg, povm = _born_thresholds(theta, alpha, w, phi, draws[:, 0])
     old = (draws[:, 1:2] >= t_branch).sum(axis=1)
     new = _bin(draws[:, 1], branch_e)
-    mismatches += int(np.sum(old != new))
+    mismatches = int(np.sum(old != new))
 
     fail = np.flatnonzero(new == 2)
     if fail.size:
@@ -278,35 +279,102 @@ def test_constant_thresholds_match_born_weights(theta, alpha):
                 continue
             cond = m[j_new == j][..., j].reshape(-1, 4)
             cond /= np.linalg.norm(cond, axis=1, keepdims=True)
-            r_plus = draws[rows, 3] < rsign_e[0]
-            t_rsign, t_rbranch, _, _ = _born_thresholds(
-                rem, math.pi / 2, PovmWeights(0.5, 0.5), cond, r_plus)
-            mismatches += int(np.sum(r_plus != (draws[rows, 3] < t_rsign)))
+            t_rbranch, _, _ = _born_thresholds(
+                rem, math.pi / 2, PovmWeights(0.5, 0.5), cond, draws[rows, 3])
             mismatches += int(np.sum(
                 (draws[rows, 4:5] >= t_rbranch).sum(axis=1)
                 != _bin(draws[rows, 4], rbranch_e)))
     assert mismatches == 0
 
 
-@pytest.mark.parametrize("remaining", [0.3, -2.9, math.pi, 1e-300, -1e-9])
+#: Rotations a failure may leave owed, each with a recovery attempt.
+OWED = [0.3, -2.9, math.pi, 1e-300, -1e-9]
+
+
+@pytest.mark.parametrize("remaining", OWED)
 def test_walked_recovery_is_the_public_recovery(remaining):
     """A failure's recovery sub-table is the transcript table of the
     recovery attempt.  Each live leaf's diagonal is, bit for bit, what
-    ``recover_with_bell`` does to the probe at that leaf's deviates."""
+    ``recover_with_bell`` does to the probe at that leaf's deviates, for
+    either sign: both of a branch's signs land on its one leaf."""
     sub = montecarlo._transcript_table(*_recovery(remaining), False)
-    leaves = set()
+    leaves = {}
     for u_x in (0.25, 0.75):
         for u_povm in (0.25, 0.75):
             leaf = 0
             for u, edges in zip((u_x, u_povm), sub.edges):
                 leaf = leaf * (edges.size + 1) + int((u >= edges).sum())
-            leaves.add(leaf)
+            leaves.setdefault(u_povm, set()).add(leaf)
             state, _, pairs = recover_with_bell(montecarlo._PROBE, remaining,
                                                 u_x, u_povm)
             assert pairs == 1 and sub.bell[leaf] == 0
             assert np.array_equal(sub.phases[leaf], montecarlo._reading(state))
-    assert len(leaves) == 4
+    assert [len(got) for got in leaves.values()] == [1, 1]
+    assert len(set.union(*leaves.values())) == 2
     assert _recovery(0.0) is None and _recovery(-0.0) is None
+
+
+def sign_subtrees(params, weights, deterministic):
+    """Walk an attempt on the probe with both of Alice's signs offered,
+    and each later column cut as the table cuts it.  Per sign, maps the
+    bins after the sign's to the leaf's branch, owed rotation (hex) and
+    diagonal."""
+    def pick(column, povm):
+        edges = [(0.5,), (weights.x, weights.x + weights.y),
+                 (_failure_law(povm)[0],) if deterministic else ()]
+        return montecarlo._bins(edges[column])
+
+    subtrees = ({}, {})
+    for bins, branch, _, state, _, owed in montecarlo._walk(
+            params, weights, montecarlo._PROBE, pick):
+        subtrees[bins[0]][bins[1:]] = (
+            branch, None if owed is None else owed.hex(),
+            montecarlo._reading(state))
+    return subtrees
+
+
+def assert_one_sign_suffices(params, weights, deterministic):
+    """Both signs give the same leaves, bit for bit; returns the
+    rotations the failures owe."""
+    plus, minus = sign_subtrees(params, weights, deterministic)
+    assert plus and plus.keys() == minus.keys()
+    for bins, (branch, owed, diagonal) in plus.items():
+        assert minus[bins][:2] == (branch, owed)
+        assert np.array_equal(minus[bins][2], diagonal)
+    return {float.fromhex(owed) for _, owed, _ in plus.values() if owed}
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+def test_alices_sign_never_changes_a_leaf(case, deterministic):
+    """The premise of the table's one sign bin: Alice's -1 arm is her +1
+    arm with its ``b = 1`` amplitudes negated, and Bob's ``sz`` negates
+    them back exactly.  So the two sign subtrees agree in every branch,
+    owed rotation and diagonal, and so do those of each recovery."""
+    owed = assert_one_sign_suffices(*case_point(case), deterministic)
+    for remaining in owed if deterministic else ():
+        attempt = _recovery(remaining)
+        if attempt is not None:
+            assert_one_sign_suffices(*attempt, False)
+
+
+@pytest.mark.parametrize("remaining", OWED)
+def test_a_recovery_sign_never_changes_a_leaf(remaining):
+    assert_one_sign_suffices(*_recovery(remaining), False)
+
+
+@pytest.mark.parametrize("deterministic,leaves", [(False, 3), (True, 18)])
+def test_a_sign_is_one_bin(deterministic, leaves):
+    """The table walks one sign per attempt: column 0, and the recovery's
+    column 3, are one whole bin with no cut."""
+    points = ([case_point(case) for case in EQUIVALENCE_CASES]
+              + [_recovery(remaining) for remaining in OWED])
+    signs = (0, 3) if deterministic else (0,)
+    for params, w in points:
+        table = montecarlo._transcript_table(params, w, deterministic)
+        assert all(table.edges[col].size == table.cuts[col].size == 0
+                   for col in signs)
+        assert table.branch.size == len(table.phases) == leaves
 
 
 @pytest.mark.parametrize("deterministic", [False, True])
@@ -368,17 +436,18 @@ def test_table_rejects_data_on_another_register_order(monkeypatch,
         montecarlo._transcript_table(*case_point("case_I"), deterministic)
 
 
-@pytest.mark.parametrize("name,value", [
-    ("_failure_law", lambda *args: (math.nan, None)),   # not finite
-    ("_failure_law", lambda *args: (1.5, None)),        # a bin wider than 1
-    ("_SIGN_EDGES", (1.05,)),                   # bins summing to 1.05
+@pytest.mark.parametrize("name,value,weights", [
+    ("_failure_law", lambda *args: (math.nan, None), None),  # not finite
+    ("_failure_law", lambda *args: (1.5, None), None),  # a bin wider than 1
+    # branch bins summing to 1.2, with no walk to refuse the POVM
+    ("_walk", lambda *args: iter(()), PovmWeights(0.6, 0.6)),
 ], ids=["nan_edge", "bin_wider_than_1", "sum_above_1"])
 def test_table_rejects_probabilities_that_are_not_a_distribution(
-        monkeypatch, fresh_tables, name, value):
+        monkeypatch, fresh_tables, name, value, weights):
     monkeypatch.setattr(montecarlo, name, value)
     with pytest.raises(ValueError, match="not a distribution"):
         monte_carlo(ProtocolParams(0.3, 0.4), trials=10, seed=0,
-                    deterministic=True)
+                    weights=weights, deterministic=True)
 
 
 # ----------------------------------------------------- table memo
@@ -619,6 +688,8 @@ any_angle = st.floats() | st.floats(0.0, HALF_PI)
 @example(1e-300, 2.2250738585072014e-308, 64, False)
 @example(-0.5, HALF_PI, 64, True)
 @example(0.3, 5e-324, 64, False)
+@example(1e-17, 0.8848819307615617, 64, True)     # x + y rounds above 1
+@example(1e-17, 0.8848819307615617, 64, False)
 def test_monte_carlo_is_total(theta, alpha, trials, deterministic):
     """Over every float pair the angles are rejected (ValueError), or a
     small run in either mode gives finite statistics with no warning."""
@@ -636,3 +707,25 @@ def test_monte_carlo_is_total(theta, alpha, trials, deterministic):
     if s.mean_fidelity is not None:
         values.append(s.mean_fidelity)
     assert all(math.isfinite(v) for v in values)
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_z_score_at_a_law_rounded_above_1(capsys, deterministic):
+    """Near theta = 0 the optimum's ``x + y`` can round to 1 + 2**-52.
+    Its binomial error is that of a certain success, so a run that never
+    fails scores 0."""
+    argv = ["simulate", "--theta", "1e-17", "--alpha", "0.8848819307615617",
+            "--trials", "1000", "--json"]
+    assert main(argv + ["--deterministic"] * deterministic) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["success_count"] == 1000
+    assert payload["z_score"] == 0.0
+
+
+def test_z_score_where_the_variance_underflows():
+    """``p (1 - p) / trials`` is 0 at the least subnormal ``p``, whose
+    error is still ``sqrt(p / trials)``."""
+    s = monte_carlo(ProtocolParams(0.3, 0.4), trials=1000, seed=0,
+                    weights=PovmWeights(5e-324, 0.0))
+    assert s.branch_counts == (0, 0, 1000)
+    assert s.z_score == pytest.approx(-math.sqrt(5e-324 * 1000), rel=1e-12)
