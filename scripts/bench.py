@@ -86,7 +86,7 @@ def _paths(package, size: str, workdir: str) -> dict:
         "run_once_deterministic": lambda: package.run_once(
             params, weights, state, seed=next(seeds), deterministic=True),
         "decision_draws": lambda: protocol._rng_from_seed(
-            1, mc._DECISION_CHANNEL).bit_generator.random_raw(5 * trials),
+            1, mc._DECISION_CHANNEL).bit_generator.random_raw(trials),
         "transcript_table": table,
         "sweep": sweep,
         "sweep_json": lambda: sweep("--json"),

@@ -21,26 +21,29 @@ returned.  Alice's sign is one bin, in the attempt and in the recovery:
 after her controlled phase the two values of ``a`` sit on different
 values of ``b``, so her -1 arm is her +1 arm with its ``b = 1``
 amplitudes negated, and Bob's ``sz`` negates them back exactly.  The
-signs differ only in the transcript, so the table walks one of them.
-A trial then needs no state simulation.  Its other deviates pick a leaf
-by the thresholds :func:`~entrot.protocol.run_once` applies, set at the
-constant probabilities (``x`` and ``x + y`` for the branch, and for
-``b`` the weight of ``b = 0`` that
-:func:`~entrot.protocol._failure_law` gives) instead of each state's
-Born weights, which equal them up to round-off.  A failure's recovery
+signs differ only in the transcript, so the table walks one of them and
+cuts no column for either.  A trial then needs no state simulation.
+Its deviates pick a leaf by the thresholds
+:func:`~entrot.protocol.run_once` applies, set at the constant
+probabilities (``x`` and ``x + y`` for the branch, and for ``b`` the
+weight of ``b = 0`` that :func:`~entrot.protocol._failure_law` gives)
+instead of each state's Born weights, which equal them up to round-off.  A failure's recovery
 leaves are the transcript table of the recovery attempt for the
 rotation the walk says it owes, walked the same way.  So a batch trial
-and a single run given the same deviates pick the same branches unless
-a deviate falls within round-off of a threshold.
+and a single run given the same branch, ``b`` and recovery-branch
+deviates, whatever their signs, pick the same branches unless a deviate
+falls within round-off of a threshold.
 
 A trial's fidelity depends on its input only through the input's basis
 weights, and for Haar inputs their second moments are known in closed
 form.  So no input is drawn: each leaf's fidelity is exact for a fixed
 input and averaged over Haar inputs otherwise, and a call only counts
-how many trials reach each leaf.  A trial draws five raw 64-bit words,
-one column each in the layout of :func:`~entrot.protocol._execute`,
-from one counter-based stream derived from a 64-bit seed, making every
-summary bit-for-bit reproducible.  A word ``w`` stands for the deviate
+how many trials reach each leaf.  A trial draws one raw 64-bit word per
+column of its table: the branch, and in deterministic mode the
+failure's ``b`` outcome and the recovery's branch.  A sign picks no
+leaf, so it draws no word.  The words come row-major from one
+counter-based stream derived from a 64-bit seed, making every summary
+bit-for-bit reproducible.  A word ``w`` stands for the deviate
 ``(w >> 11) * 2**-53`` that ``Generator.random`` makes of it, and the
 table holds each threshold as the least word whose deviate reaches it,
 so a leaf is picked by integer comparisons that agree exactly with the
@@ -131,8 +134,8 @@ def _reading(state: StateVector) -> np.ndarray:
 class _TranscriptTable:
     """Every transcript of one attempt, one leaf per cell of deviate bins.
 
-    Draw column ``k`` is cut into bins at ``edges[k]``; a trial's leaf is
-    the row-major index of its bins.  ``cuts[k]`` holds the same edges as
+    Word ``k`` of a trial is cut into bins at ``edges[k]``; a trial's leaf
+    is the row-major index of its bins.  ``cuts[k]`` holds the same edges as
     raw words (:func:`_word`), less any at or above 1, which no deviate
     reaches.  ``phases`` holds each leaf's diagonal, NaN where a failure
     is left unrecovered, and ``overlap`` the same times the conjugate
@@ -156,31 +159,34 @@ def _transcript_table(params: ProtocolParams, weights: PovmWeights,
     """Walk the protocol's attempt on the probe, one deviate per bin.
 
     :func:`~entrot.protocol._walk` shares prefixes, so steps 1-3 run
-    once, for the one sign bin, and the POVM once per branch bin.  A
-    plain table offers the failure's ``b`` column as one whole bin and
-    leaves those leaves NaN.  A failure's recovery depends only on the
-    ``b`` outcome; its sub-table is this walk of the recovery attempt,
-    which the memo builds once per outcome, multiplied into the
-    failure's leaves.  A column a transcript does not consult repeats
-    the leaf along its axis.
+    once, for the one sign bin, and the POVM once per branch bin.  Walk
+    columns 1 and 2 (branch and ``b``) are table columns 0 and 1.  A
+    plain table has only the branch column, offers the failure's ``b``
+    as one whole bin and leaves those leaves NaN.  A failure's recovery
+    depends only on the ``b`` outcome; its sub-table is this walk of the
+    recovery attempt, which the memo builds once per outcome, with its
+    one column, the recovery's branch, spliced in as the last and its
+    leaves multiplied into the failure's.  A column a transcript does
+    not consult repeats the leaf along its axis.
     Raises ``ValueError`` for a non-positive POVM (from the POVM step),
     and when a leaf's probability or diagonal breaks the premise.
     """
-    edges = [(), (weights.x, weights.x + weights.y)]
+    edges = [(weights.x, weights.x + weights.y)]
     if deterministic:
-        # columns 2 and 4 stay one whole bin until a failure cuts them at
+        # columns 1 and 2 stay one whole bin until a failure cuts them at
         # the b threshold and at the recovery attempt's own branch edges
-        edges += [(1.0,), (), (1.0, 1.0)]
-    shape = tuple(len(e) + 1 for e in edges)
+        edges += [(1.0,), (1.0, 1.0)]
+    # a leading axis of one bin for the sign, so the walk's bins index it
+    shape = (1, *(len(e) + 1 for e in edges))
     phases = np.full(shape + (4,), np.nan, dtype=complex)
     branch = np.zeros(shape, dtype=np.int64)
     bell = np.zeros(shape, dtype=np.int64)
 
     def pick(column, povm):
         if column == 2 and deterministic:
-            edges[2] = (_failure_law(povm)[0],)
-        # a plain table has no column 2, which is then one whole bin
-        return _bins(edges[column] if column < len(edges) else ())
+            edges[1] = (_failure_law(povm)[0],)
+        # the sign, and a plain table's b, are one whole bin and no column
+        return _bins(edges[column - 1] if 0 < column <= len(edges) else ())
 
     for bins, got, _, state, _, owed in _walk(params, weights, _PROBE, pick):
         branch[bins[:2]] = got
@@ -191,8 +197,8 @@ def _transcript_table(params: ProtocolParams, weights: PovmWeights,
             attempt = _recovery(owed)
             if attempt is not None:
                 sub = _transcript_table(*attempt, False)
-                edges[3:] = sub.edges
-                phases[bins] *= sub.phases.reshape(shape[3:] + (4,))
+                edges[2:] = sub.edges
+                phases[bins] *= sub.phases
                 bell[bins] = 1  # the recovery's resource, a Bell pair
 
     # Bin widths are clipped at 0, so each column's widths sum to at least
@@ -304,6 +310,7 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
         raise TypeError(f"trials must be an integer, got {type(trials).__name__}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
+    trials = int(trials)
     fixed_weight = None
     if input_state is not None:
         _check_input(input_state)
@@ -316,7 +323,7 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
     hist = np.zeros(table.branch.size, dtype=np.int64)
     for done in range(0, trials, _CHUNK):
         n = min(_CHUNK, trials - done)
-        words = bits.random_raw(5 * n).reshape(n, 5)
+        words = bits.random_raw(len(table.edges) * n).reshape(n, -1)
         hist += np.bincount(_leaves(table, words), minlength=hist.size)
 
     counts = [int(hist[table.branch == b].sum()) for b in (1, 2, 3)]
@@ -326,7 +333,6 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
     finished = hist[reached[have]]
     fid_units = _fid_units(finished, fid[have])
     fid_n = int(finished.sum())
-    bell_sum = int(hist @ table.bell)
 
     success = counts[0] + counts[1]
     empirical_p = success / trials
@@ -338,9 +344,9 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
           else math.sqrt(law) * math.sqrt((1.0 - law) / trials))
     gap = empirical_p - law
     z = gap / se if se else math.copysign(math.inf, gap) if gap else 0.0
-    mean_bell = bell_sum / trials
+    mean_bell = int(hist @ table.bell) / trials
     return SummaryStats(
-        params=params, weights=weights, trials=int(trials), seed=int(seed),
+        params=params, weights=weights, trials=trials, seed=int(seed),
         deterministic=deterministic,
         branch_counts=tuple(counts),
         success_count=success, empirical_p=empirical_p,

@@ -28,10 +28,11 @@ def scaled_weights(params, factor):
     return PovmWeights(best.x * factor, best.y * factor)
 
 
-def engine_streams(seed, n):
-    """The raw decision words ``monte_carlo`` consumes, one row per trial."""
+def engine_streams(seed, n, k):
+    """The raw decision words ``monte_carlo`` consumes, one row of ``k``
+    (one per table column) per trial."""
     bits = _rng_from_seed(seed, montecarlo._DECISION_CHANNEL).bit_generator
-    return bits.random_raw(5 * n).reshape(n, 5)
+    return bits.random_raw(k * n).reshape(n, k)
 
 
 def deviates(words):
@@ -43,6 +44,24 @@ def input_normals(seed, n):
     """``haar_state`` normals for ``n`` test inputs, from a stream of
     ``seed`` (tag 2) disjoint from the engine's decision deviates."""
     return _rng_from_seed(seed, 2).standard_normal((n, 8))
+
+
+def other_deviates(seed, n, k):
+    """``k`` deviates per trial for the draws a table cuts no column for
+    (the signs, and a plain table's ``b``), from a stream of ``seed``
+    (tag 3) disjoint from the engine's and the inputs'."""
+    return _rng_from_seed(seed, 3).random((n, k))
+
+
+def single_run_draws(seed, draws):
+    """The five ``_execute`` draws of each trial whose table deviates are
+    the rows of ``draws``: table columns 0, 1 and 2 are the branch, ``b``
+    and recovery branch (layout columns 1, 2 and 4), and every other
+    column comes from :func:`other_deviates`."""
+    n, k = draws.shape
+    runs = other_deviates(seed, n, 5)
+    runs[:, [1, 2, 4][:k]] = draws
+    return runs
 
 
 # ------------------------------------------- engine equivalence
@@ -78,26 +97,29 @@ def test_matches_single_run_engine_trial_by_trial(case, deterministic):
     _, _, _, basis, branches = EQUIVALENCE_CASES[case]
     params, w = case_point(case)
     n, seed = 300, 77
+    table = montecarlo._transcript_table(params, w, deterministic)
+    k = len(table.edges)
 
     # exactly the words the batch engine consumes, and numpy's own
     # doubles of them, bit for bit: the table's word cuts rely on this
-    words = engine_streams(seed, n)
+    words = engine_streams(seed, n, k)
     draws = deviates(words)
     numpy_draws = _rng_from_seed(seed, montecarlo._DECISION_CHANNEL).random(
-        (n, 5))
+        (n, k))
     assert np.array_equal(draws.view(np.uint64), numpy_draws.view(np.uint64))
+    # the signs come from another stream, so no sign may move a leaf
+    runs = single_run_draws(seed, draws)
     if basis is None:
         states = [haar_state(("A", "B"), z) for z in input_normals(seed, n)]
     else:
         states = [StateVector.basis(("A", "B"), basis)] * n
 
-    table = montecarlo._transcript_table(params, w, deterministic)
     leaf = montecarlo._leaves(table, words)
     assert set(table.branch[leaf].tolist()) == branches
 
     gate = controlled_rotation(params.theta)
     for i, state in enumerate(states):
-        out = _execute(params, w, state, draws[i], deterministic, seed=0)
+        out = _execute(params, w, state, runs[i], deterministic, seed=0)
         assert out.branch == table.branch[leaf[i]]
         assert out.bell_pairs_consumed == table.bell[leaf[i]]
         fid = montecarlo._leaf_fidelity(table.overlap[leaf[i:i + 1]],
@@ -109,6 +131,35 @@ def test_matches_single_run_engine_trial_by_trial(case, deterministic):
             want = fidelity(apply_gate(state, gate, ("A", "B")),
                             out.final_state)
             assert fid == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+@pytest.mark.parametrize("case", ["case_II_y_zero", "case_I",
+                                  "scaled_weights", "bell_half_turn"])
+def test_a_trial_draws_one_word_per_table_column(case, deterministic):
+    """``monte_carlo`` draws ``len(table.edges)`` words per trial (1, or
+    3 in deterministic mode), row-major from the decision stream, over
+    several blocks: its counts, Bell pairs and mean fidelity are those
+    of the leaves the words pick, bit for bit."""
+    params, w = case_point(case)
+    n, seed = 2 * montecarlo._CHUNK + 123, 19
+    got = monte_carlo(params, n, seed, weights=w, deterministic=deterministic)
+    table = montecarlo._transcript_table(params, w, deterministic)
+    assert len(table.edges) == (3 if deterministic else 1)
+    leaf = montecarlo._leaves(table, engine_streams(seed, n, len(table.edges)))
+    hist = np.bincount(leaf, minlength=table.branch.size)
+    counts = tuple(int(hist[table.branch == b].sum()) for b in (1, 2, 3))
+    reached = np.flatnonzero(hist)
+    fid = montecarlo._leaf_fidelity(table.overlap[reached])
+    have = ~np.isnan(fid)
+    finished = hist[reached[have]]
+    want = dataclasses.replace(
+        got, branch_counts=counts, success_count=counts[0] + counts[1],
+        empirical_p=(counts[0] + counts[1]) / n,
+        mean_bell_pairs=int(hist @ table.bell) / n,
+        mean_fidelity=montecarlo._fid_units(finished, fid[have])
+        / (int(finished.sum()) << montecarlo._FID_BITS))
+    assert got == want
 
 
 #: Edges at and next to the ends of [0, 1], and the middle.
@@ -168,9 +219,10 @@ def test_word_leaves_are_the_deviate_leaves(case, deterministic):
     near = sorted({c + d for cuts in table.cuts for c in cuts.tolist()
                    for d in (-2 ** 11, -1, 0, 2 ** 11 - 1, 2 ** 11)
                    if 0 <= c + d < 2 ** 64})
+    k = len(table.edges)
     words = np.concatenate([
-        engine_streams(list(EQUIVALENCE_CASES).index(case), 100_000),
-        np.repeat(np.array(near, dtype=np.uint64)[:, None], 5, axis=1)])
+        engine_streams(list(EQUIVALENCE_CASES).index(case), 100_000, k),
+        np.repeat(np.array(near, dtype=np.uint64)[:, None], k, axis=1)])
     leaf = montecarlo._leaves(table, words)
     assert leaf.dtype == np.uint8
     assert np.array_equal(leaf, float_leaves(table, deviates(words)))
@@ -244,20 +296,22 @@ def test_constant_thresholds_match_born_weights(theta, alpha):
     a state simulation thresholds it at the Born weight of each trial's
     own state.  Over 2**17 Haar trials no draw may land between the two,
     on any column the transcript consults (recovery included).  The
-    table has no sign threshold: each trial's sign is the single run's."""
+    table has no sign column: each trial's signs are drawn from another
+    stream, by the single run's rule."""
     params = ProtocolParams(theta, alpha)
     w = optimum(params).weights
     table = montecarlo._transcript_table(params, w, deterministic=True)
-    _, branch_e, b_e, _, rbranch_e = table.edges
+    branch_e, b_e, rbranch_e = table.edges
     n = 1 << 17
-    draws = deviates(engine_streams(5, n))
+    draws = deviates(engine_streams(5, n, 3))
+    signs = other_deviates(5, n, 2)
     z = input_normals(5, n)
     phi = z[:, :4] + 1j * z[:, 4:]
     phi /= np.linalg.norm(phi, axis=1, keepdims=True)
 
-    t_branch, reg, povm = _born_thresholds(theta, alpha, w, phi, draws[:, 0])
-    old = (draws[:, 1:2] >= t_branch).sum(axis=1)
-    new = _bin(draws[:, 1], branch_e)
+    t_branch, reg, povm = _born_thresholds(theta, alpha, w, phi, signs[:, 0])
+    old = (draws[:, 0:1] >= t_branch).sum(axis=1)
+    new = _bin(draws[:, 0], branch_e)
     mismatches = int(np.sum(old != new))
 
     fail = np.flatnonzero(new == 2)
@@ -265,8 +319,8 @@ def test_constant_thresholds_match_born_weights(theta, alpha):
         k3 = psd_sqrt2(povm.e3)
         m = np.einsum("cb,nxyb->nxyc", k3, reg[fail])
         pb = np.sum(np.abs(m) ** 2, axis=(1, 2))
-        j_new = _bin(draws[fail, 2], b_e)
-        mismatches += int(np.sum((draws[fail, 2] >= pb[:, 0] / pb.sum(1))
+        j_new = _bin(draws[fail, 1], b_e)
+        mismatches += int(np.sum((draws[fail, 1] >= pb[:, 0] / pb.sum(1))
                                  != j_new))
         r = k3.real
         for j in (0, 1):
@@ -280,10 +334,10 @@ def test_constant_thresholds_match_born_weights(theta, alpha):
             cond = m[j_new == j][..., j].reshape(-1, 4)
             cond /= np.linalg.norm(cond, axis=1, keepdims=True)
             t_rbranch, _, _ = _born_thresholds(
-                rem, math.pi / 2, PovmWeights(0.5, 0.5), cond, draws[rows, 3])
+                rem, math.pi / 2, PovmWeights(0.5, 0.5), cond, signs[rows, 1])
             mismatches += int(np.sum(
-                (draws[rows, 4:5] >= t_rbranch).sum(axis=1)
-                != _bin(draws[rows, 4], rbranch_e)))
+                (draws[rows, 2:3] >= t_rbranch).sum(axis=1)
+                != _bin(draws[rows, 2], rbranch_e)))
     assert mismatches == 0
 
 
@@ -295,22 +349,20 @@ OWED = [0.3, -2.9, math.pi, 1e-300, -1e-9]
 def test_walked_recovery_is_the_public_recovery(remaining):
     """A failure's recovery sub-table is the transcript table of the
     recovery attempt.  Each live leaf's diagonal is, bit for bit, what
-    ``recover_with_bell`` does to the probe at that leaf's deviates, for
-    either sign: both of a branch's signs land on its one leaf."""
+    ``recover_with_bell`` does to the probe at that leaf's branch deviate,
+    for either sign: both of a branch's signs land on its one leaf."""
     sub = montecarlo._transcript_table(*_recovery(remaining), False)
-    leaves = {}
-    for u_x in (0.25, 0.75):
-        for u_povm in (0.25, 0.75):
-            leaf = 0
-            for u, edges in zip((u_x, u_povm), sub.edges):
-                leaf = leaf * (edges.size + 1) + int((u >= edges).sum())
-            leaves.setdefault(u_povm, set()).add(leaf)
+    (edges,) = sub.edges
+    leaves = set()
+    for u_povm in (0.25, 0.75):
+        leaf = int((u_povm >= edges).sum())
+        leaves.add(leaf)
+        for u_x in (0.25, 0.75):
             state, _, pairs = recover_with_bell(montecarlo._PROBE, remaining,
                                                 u_x, u_povm)
             assert pairs == 1 and sub.bell[leaf] == 0
             assert np.array_equal(sub.phases[leaf], montecarlo._reading(state))
-    assert [len(got) for got in leaves.values()] == [1, 1]
-    assert len(set.union(*leaves.values())) == 2
+    assert len(leaves) == 2
     assert _recovery(0.0) is None and _recovery(-0.0) is None
 
 
@@ -365,15 +417,18 @@ def test_a_recovery_sign_never_changes_a_leaf(remaining):
 
 @pytest.mark.parametrize("deterministic,leaves", [(False, 3), (True, 18)])
 def test_a_sign_is_one_bin(deterministic, leaves):
-    """The table walks one sign per attempt: column 0, and the recovery's
-    column 3, are one whole bin with no cut."""
+    """The table walks one sign per attempt and cuts no column for it.
+    Its columns are the branch, cut at ``(x, x + y)``, and in
+    deterministic mode the failure's ``b`` (one edge) and the recovery's
+    branch (two)."""
     points = ([case_point(case) for case in EQUIVALENCE_CASES]
               + [_recovery(remaining) for remaining in OWED])
-    signs = (0, 3) if deterministic else (0,)
     for params, w in points:
         table = montecarlo._transcript_table(params, w, deterministic)
-        assert all(table.edges[col].size == table.cuts[col].size == 0
-                   for col in signs)
+        sizes = [2, 1, 2] if deterministic else [2]
+        assert [e.size for e in table.edges] == sizes
+        assert len(table.cuts) == len(sizes)
+        assert table.edges[0].tolist() == [w.x, w.x + w.y]
         assert table.branch.size == len(table.phases) == leaves
 
 
@@ -386,7 +441,7 @@ def test_failures_read_one_failure_law(case, deterministic):
     params, w = case_point(case)
     weight, theta_f = _failure_law(build_povm(params, w))
     table = montecarlo._transcript_table(params, w, deterministic=True)
-    assert [e.hex() for e in table.edges[2]] == [weight.hex()]
+    assert [e.hex() for e in table.edges[1]] == [weight.hex()]
     outcomes = set()
     for seed, z in enumerate(input_normals(11, 64)):
         out = run_once(params, w, haar_state(("A", "B"), z), seed,
@@ -649,6 +704,23 @@ def test_argument_validation():
                     input_state=StateVector(("A", "B"), [1.0, 1.0, 0, 0]))
     with pytest.raises(ValueError):
         monte_carlo(params, trials=10, seed=0, weights=PovmWeights(3.0, 3.0))
+
+
+@pytest.mark.parametrize("trials", [np.int8(100), np.uint8(200),
+                                    np.int64(1000)],
+                         ids=["int8", "uint8", "int64"])
+def test_numpy_trials_give_the_summary_of_an_int(trials):
+    """A narrow numpy count neither overflows in the block size nor
+    leaks numpy scalars into the summary."""
+    params = ProtocolParams(math.pi / 4, math.pi / 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = monte_carlo(params, trials, 0)
+    assert got == monte_carlo(params, int(trials), 0)
+    assert type(got.trials) is int
+    for field in dataclasses.fields(SummaryStats):
+        if field.type.startswith("float"):
+            assert type(getattr(got, field.name)) is float, field.name
 
 
 def test_summary_type_is_value_comparable():
