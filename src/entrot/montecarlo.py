@@ -27,12 +27,12 @@ Its deviates pick a leaf by the thresholds
 :func:`~entrot.protocol.run_once` applies, set at the constant
 probabilities (``x`` and ``x + y`` for the branch, and for ``b`` the
 weight of ``b = 0`` that :func:`~entrot.protocol._failure_law` gives)
-instead of each state's Born weights, which equal them up to round-off.  A failure's recovery
-leaves are the transcript table of the recovery attempt for the
-rotation the walk says it owes, walked the same way.  So a batch trial
-and a single run given the same branch, ``b`` and recovery-branch
-deviates, whatever their signs, pick the same branches unless a deviate
-falls within round-off of a threshold.
+instead of each state's Born weights, which equal them up to round-off.
+A failure's recovery leaves are the transcript table of the recovery
+attempt for the rotation the walk says it owes, walked the same way.
+So a batch trial and a single run given the same branch, ``b`` and
+recovery-branch deviates, whatever their signs, pick the same branches
+unless a deviate falls within round-off of a threshold.
 
 A trial's fidelity depends on its input only through the input's basis
 weights, and for Haar inputs their second moments are known in closed
