@@ -81,6 +81,9 @@ def _paths(package, size: str, workdir: str) -> dict:
         "monte_carlo": lambda: package.monte_carlo(params, trials, seed=1),
         "monte_carlo_deterministic": lambda: package.monte_carlo(
             params, trials, seed=1, deterministic=True),
+        # perfbench check_scan's call size, where per-call set-up shows
+        "monte_carlo_deterministic_4096": lambda: package.monte_carlo(
+            params, 4096, seed=1, deterministic=True),
         "run_once": lambda: package.run_once(params, weights, state,
                                              seed=next(seeds)),
         "run_once_deterministic": lambda: package.run_once(

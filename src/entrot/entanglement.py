@@ -96,7 +96,8 @@ def _costs(ct, st, ca, sa, e):
     ``_alpha_terms(alpha)``, as floats or arrays (broadcast); the caller
     validates the angles, as for ``povm._closed_form``."""
     cross, band, x, y, _ = _closed_form(ct, st, ca, sa)
-    p = x + y
+    # a success probability, so x + y rounded above 1 is capped there
+    p = _where(x + y > 1.0, 1.0, x + y)
     return cross, band, x, y, p, 1.0 - p + e
 
 
@@ -125,22 +126,28 @@ def min_cost_over_alpha(theta: float, tol: float = 1e-6) -> tuple[float, float]:
         raise ValueError(f"theta must lie in (0, pi/2], got {theta!r}")
     if not 1e-8 <= tol <= 1e-3:
         raise ValueError(f"tol must lie in [1e-8, 1e-3], got {tol!r}")
+    return _min_cost(theta, tol, -math.inf)
+
+
+def _min_cost(theta: float, tol: float, enough: float) -> tuple[float, float]:
+    """:func:`min_cost_over_alpha` for checked arguments, cut short at
+    the scan's best point when its cost is already below ``enough``: the
+    golden section can only lower it."""
     trig = _trig(theta)
-    alphas = _SCAN_ALPHAS
     costs = _costs(*trig, *_SCAN_TERMS)[5]
     i = int(np.argmin(costs))
-    best_alpha = float(alphas[i])
+    best_alpha = float(_SCAN_ALPHAS[i])
     best_cost = float(costs[i])
-
-    lo = float(alphas[max(i - 1, 0)])
-    hi = float(alphas[min(i + 1, len(alphas) - 1)])
+    if best_cost < enough:
+        return best_alpha, best_cost
 
     def cost(a: float) -> float:
         return _costs(*trig, *_alpha_terms(a))[5]
 
     # Golden-section: keeps a shrinking bracket around the interior
     # minimum; one new evaluation per iteration.
-    a, b = lo, hi
+    a = float(_SCAN_ALPHAS[max(i - 1, 0)])
+    b = float(_SCAN_ALPHAS[min(i + 1, len(_SCAN_ALPHAS) - 1)])
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = cost(c), cost(d)
@@ -172,7 +179,8 @@ def threshold_theta(tol: float = 1e-4) -> float:
         raise ValueError(f"tol must lie in [1e-6, 1e-3] (units of pi), got {tol!r}")
 
     def beats_bell(theta: float) -> bool:
-        return min_cost_over_alpha(theta, tol=1e-8)[1] < 1.0 - BREAK_EVEN_BAND
+        bar = 1.0 - BREAK_EVEN_BAND
+        return _min_cost(theta, 1e-8, bar)[1] < bar
 
     lo, hi = 0.1 * math.pi, 0.4 * math.pi
     if not beats_bell(lo) or beats_bell(hi):

@@ -30,20 +30,26 @@ weight of ``b = 0`` that :func:`~entrot.protocol._failure_law` gives)
 instead of each state's Born weights, which equal them up to round-off.
 A failure's recovery leaves are the transcript table of the recovery
 attempt for the rotation the walk says it owes, walked the same way.
-So a batch trial and a single run given the same branch, ``b`` and
-recovery-branch deviates, whatever their signs, pick the same branches
-unless a deviate falls within round-off of a threshold.
+So a batch trial and a single run given the same branch deviate and,
+after a failure, the same ``b`` and recovery-branch deviates, whatever
+their signs and whatever deviates a success leaves unread, pick the
+same branches unless a deviate falls within round-off of a threshold.
 
 A trial's fidelity depends on its input only through the input's basis
 weights, and for Haar inputs their second moments are known in closed
 form.  So no input is drawn: each leaf's fidelity is exact for a fixed
 input and averaged over Haar inputs otherwise, and a call only counts
-how many trials reach each leaf.  A trial draws one raw 64-bit word per
-column of its table: the branch, and in deterministic mode the
-failure's ``b`` outcome and the recovery's branch.  A sign picks no
-leaf, so it draws no word.  The words come row-major from one
-counter-based stream derived from a 64-bit seed, making every summary
-bit-for-bit reproducible.  A word ``w`` stands for the deviate
+how many trials reach each leaf.  The draws are raw 64-bit words from
+one counter-based stream derived from a 64-bit seed, making every
+summary bit-for-bit reproducible.  Trial ``i``'s branch is word ``i``.
+In deterministic mode the ``j``-th failure, in trial order, then reads
+words ``trials + 2j`` and ``trials + 2j + 1``: its ``b`` outcome and the
+recovery's branch.  A success reads no more words, as its leaf repeats
+along the columns it does not consult, and a sign picks no leaf, so it
+draws none.  So a call counts the branch words at each branch cut and
+picks a leaf only for each failure: a trial reads ``1 + 2f`` words on
+average at failure rate ``f``, and both modes count the same branches
+at one seed and weights.  A word ``w`` stands for the deviate
 ``(w >> 11) * 2**-53`` that ``Generator.random`` makes of it, and the
 table holds each threshold as the least word whose deviate reaches it,
 so a leaf is picked by integer comparisons that agree exactly with the
@@ -134,13 +140,13 @@ def _reading(state: StateVector) -> np.ndarray:
 class _TranscriptTable:
     """Every transcript of one attempt, one leaf per cell of deviate bins.
 
-    Word ``k`` of a trial is cut into bins at ``edges[k]``; a trial's leaf
-    is the row-major index of its bins.  ``cuts[k]`` holds the same edges as
-    raw words (:func:`_word`), less any at or above 1, which no deviate
-    reaches.  ``phases`` holds each leaf's diagonal, NaN where a failure
-    is left unrecovered, and ``overlap`` the same times the conjugate
-    target diagonal.  Tables are memoised and shared, so every array is
-    read-only.
+    The word a trial reads for column ``k`` is cut into bins at
+    ``edges[k]``; a trial's leaf is the row-major index of its bins.
+    ``cuts[k]`` holds the same edges as raw words (:func:`_word`), less
+    any at or above 1, which no deviate reaches.  ``phases`` holds each
+    leaf's diagonal, NaN where a failure is left unrecovered, and
+    ``overlap`` the same times the conjugate target diagonal.  Tables
+    are memoised and shared, so every array is read-only.
     """
 
     edges: tuple[np.ndarray, ...]
@@ -229,12 +235,12 @@ def _transcript_table(params: ProtocolParams, weights: PovmWeights,
 
 
 def _leaves(table: _TranscriptTable, words: np.ndarray) -> np.ndarray:
-    """The leaf each row of raw words ``words`` picks, in the smallest
-    unsigned dtype that holds every leaf index."""
-    leaf = np.zeros(words.shape[0],
-                    dtype=np.min_scalar_type(table.branch.size - 1))
-    for col, (edges, cuts) in enumerate(zip(table.edges, table.cuts)):
-        w = words[:, col]
+    """The leaf each row of raw words ``words`` picks among the table's
+    last ``words.shape[1]`` columns, in the smallest unsigned dtype that
+    holds every leaf index of the table."""
+    k = words.shape[1]
+    leaf = np.zeros(len(words), np.min_scalar_type(table.branch.size - 1))
+    for w, edges, cuts in zip(words.T, table.edges[-k:], table.cuts[-k:]):
         leaf *= edges.size + 1
         for cut in cuts:
             leaf += w >= cut
@@ -320,11 +326,28 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
         weights = optimum(params).weights
     table = _transcript_table(params, weights, deterministic)
 
-    hist = np.zeros(table.branch.size, dtype=np.int64)
+    # trial i's branch is word i: count the words at or above each cut
+    ge = [0] * table.cuts[0].size
     for done in range(0, trials, _CHUNK):
-        n = min(_CHUNK, trials - done)
-        words = bits.random_raw(len(table.edges) * n).reshape(n, -1)
-        hist += np.bincount(_leaves(table, words), minlength=hist.size)
+        w = bits.random_raw(min(_CHUNK, trials - done))
+        ge = [g + np.count_nonzero(w >= c) for g, c in zip(ge, table.cuts[0])]
+    # row b of this view holds branch bin b's leaves: all of its trials
+    # reach the first, which a success repeats along the columns it
+    # does not read
+    hist = np.zeros(table.branch.size, dtype=np.int64)
+    bins = hist.reshape(table.edges[0].size + 1, -1)
+    bins[:len(ge) + 1, 0] = [a - b for a, b in pairwise([trials, *ge, 0])]
+    if deterministic:
+        # the j-th failure in trial order reads words trials + 2j and
+        # trials + 2j + 1, its b and the recovery's branch.  Blocks of a
+        # power of two rows, the last cut short after its draw, keep a
+        # call's arrays to a few sizes: arrays sized to each call's own
+        # failure count raised the process's peak memory call by call.
+        fails, bins[-1, 0] = int(bins[-1, 0]), 0
+        for j in range(0, fails, _CHUNK):
+            rows = min(_CHUNK, 1 << (fails - j - 1).bit_length())
+            leaf = _leaves(table, bits.random_raw(2 * rows).reshape(rows, 2))
+            bins[-1] += np.bincount(leaf[:fails - j], minlength=bins.shape[1])
 
     counts = [int(hist[table.branch == b].sum()) for b in (1, 2, 3)]
     reached = np.flatnonzero(hist)

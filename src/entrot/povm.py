@@ -428,7 +428,8 @@ def optimum(params: ProtocolParams) -> OptimumResult:
     """
     cross, band, x, y, _ = _closed_form(*_trig(params.theta),
                                         *_trig(params.alpha))
-    return OptimumResult(_CASES[_case(cross, band)], x, y, x + y)
+    # x + y can round above 1 where the optimum is a sure success
+    return OptimumResult(_CASES[_case(cross, band)], x, y, min(x + y, 1.0))
 
 
 def bell_conversion_prob(alpha: float) -> float:

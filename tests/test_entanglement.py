@@ -72,6 +72,23 @@ def test_average_cost_is_failure_rate_plus_entropy():
             1.0 - best.p_max + report.entropy, abs=1e-15)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_success_probability_is_capped_at_1_near_theta_0(seed):
+    """At theta = 1e-17 the optimum's ``x + y`` can round to 1 + 2**-52.
+    ``p_max`` is capped at 1 in ``optimum`` and ``average_cost``, so the
+    cost never falls below the resource entropy; the weights are kept."""
+    alphas = np.random.default_rng(seed).uniform(0.0, PI / 2, 20_000)
+    for alpha in [0.7654516294107501, *alphas.tolist()]:
+        if alpha == 0.0:
+            continue
+        params = ProtocolParams(1e-17, alpha)
+        best = optimum(params)
+        rep = average_cost(params)
+        assert best.p_max == min(best.x + best.y, 1.0) == rep.p_max
+        assert rep.p_max <= 1.0
+        assert rep.avg_cost >= rep.entropy
+
+
 def test_maximal_resource_costs_exactly_one_ebit():
     for theta in (0.1, 0.7, 1.2, PI / 2):
         assert average_cost(ProtocolParams(theta, PI / 2)).avg_cost == 1.0
@@ -144,6 +161,39 @@ def test_break_even_separates_the_two_regimes():
     assert min_cost_over_alpha(t + 0.005 * PI)[1] == 1.0
 
 
+def test_threshold_shortcut_agrees_with_the_full_search():
+    """``threshold_theta`` answers from the 1000-point scan when its least
+    cost already beats a Bell pair, as the golden section can only lower
+    it.  On 400 seeded angles in (0.1 pi, 0.4 pi) that answer is the full
+    search's."""
+    bar = 1.0 - entanglement.BREAK_EVEN_BAND
+    short_cut = 0
+    for theta in np.random.default_rng(30).uniform(0.1 * PI, 0.4 * PI,
+                                                   400).tolist():
+        full = min_cost_over_alpha(theta, tol=1e-8)[1]
+        quick = entanglement._min_cost(theta, 1e-8, bar)[1]
+        assert (quick < bar) == (full < bar), theta
+        assert quick >= full
+        short_cut += quick > full
+    assert short_cut > 100
+
+
+#: ``threshold_theta`` at each tolerance, from the search without the
+#: shortcut.
+THRESHOLDS = {1e-3: "0x1.7834aa155c830p-1", 1e-4: "0x1.78076cea91a1ep-1",
+              1e-5: "0x1.7810d9a8d13b8p-1", 1e-6: "0x1.7810f7d1986d7p-1"}
+
+
+@pytest.mark.parametrize("tol", THRESHOLDS)
+def test_threshold_is_that_of_the_full_search(monkeypatch, tol):
+    got = threshold_theta(tol)
+    assert got.hex() == THRESHOLDS[tol]
+    full = entanglement._min_cost
+    monkeypatch.setattr(entanglement, "_min_cost",
+                        lambda theta, t, enough: full(theta, t, -math.inf))
+    assert threshold_theta(tol) == got
+
+
 def test_threshold_validation():
     for bad in (1e-7, 1e-2, 0.0, -1e-4):
         with pytest.raises(ValueError):
@@ -152,8 +202,8 @@ def test_threshold_validation():
 
 def test_threshold_names_a_bracket_that_misses_break_even(monkeypatch):
     """A cost that never beats a Bell pair fails the bracket's low end."""
-    monkeypatch.setattr(entanglement, "min_cost_over_alpha",
-                        lambda theta, tol: (PI / 2, 1.0))
+    monkeypatch.setattr(entanglement, "_min_cost",
+                        lambda theta, tol, enough: (PI / 2, 1.0))
     with pytest.raises(RuntimeError, match=re.escape(
             "threshold bracket (0.1 pi, 0.4 pi) does not straddle break-even")):
         threshold_theta()

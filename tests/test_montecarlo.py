@@ -28,11 +28,29 @@ def scaled_weights(params, factor):
     return PovmWeights(best.x * factor, best.y * factor)
 
 
-def engine_streams(seed, n, k):
-    """The raw decision words ``monte_carlo`` consumes, one row of ``k``
-    (one per table column) per trial."""
+def engine_words(seed, m):
+    """The first ``m`` raw words of the decision stream of ``seed``."""
     bits = _rng_from_seed(seed, montecarlo._DECISION_CHANNEL).bit_generator
-    return bits.random_raw(k * n).reshape(n, k)
+    return bits.random_raw(m)
+
+
+def engine_streams(seed, n, table):
+    """The raw decision words ``monte_carlo`` reads on ``table`` for ``n``
+    trials, one row per trial and one column per table column.  Column 0,
+    the branch, is the stream's first ``n`` words.  In deterministic mode
+    the ``j``-th failure (a branch deviate at or above ``x + y``) reads
+    the ``j``-th word pair after them as its ``b`` and recovery branch.
+    A success reads no more words: its tail comes from
+    :func:`other_deviates`, so it may move no leaf."""
+    k = len(table.edges)
+    words = engine_words(seed, 3 * n)
+    rows = other_deviates(seed, n, k)
+    rows = (rows * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
+    rows[:, 0] = words[:n]
+    if k > 1:
+        fail = deviates(words[:n]) >= table.edges[0][-1]
+        rows[fail, 1:] = words[n:n + 2 * fail.sum()].reshape(-1, 2)
+    return rows
 
 
 def deviates(words):
@@ -47,9 +65,10 @@ def input_normals(seed, n):
 
 
 def other_deviates(seed, n, k):
-    """``k`` deviates per trial for the draws a table cuts no column for
-    (the signs, and a plain table's ``b``), from a stream of ``seed``
-    (tag 3) disjoint from the engine's and the inputs'."""
+    """``k`` deviates per trial for the draws the engine does not read
+    (the signs, a plain table's ``b`` and a success's tail), from a
+    stream of ``seed`` (tag 3) disjoint from the engine's and the
+    inputs'."""
     return _rng_from_seed(seed, 3).random((n, k))
 
 
@@ -98,15 +117,15 @@ def test_matches_single_run_engine_trial_by_trial(case, deterministic):
     params, w = case_point(case)
     n, seed = 300, 77
     table = montecarlo._transcript_table(params, w, deterministic)
-    k = len(table.edges)
 
-    # exactly the words the batch engine consumes, and numpy's own
-    # doubles of them, bit for bit: the table's word cuts rely on this
-    words = engine_streams(seed, n, k)
-    draws = deviates(words)
+    # the stream's words and numpy's own doubles of them agree bit for
+    # bit: the table's word cuts rely on this
     numpy_draws = _rng_from_seed(seed, montecarlo._DECISION_CHANNEL).random(
-        (n, k))
-    assert np.array_equal(draws.view(np.uint64), numpy_draws.view(np.uint64))
+        3 * n)
+    assert np.array_equal(deviates(engine_words(seed, 3 * n)).view(np.uint64),
+                          numpy_draws.view(np.uint64))
+    words = engine_streams(seed, n, table)
+    draws = deviates(words)
     # the signs come from another stream, so no sign may move a leaf
     runs = single_run_draws(seed, draws)
     if basis is None:
@@ -136,17 +155,19 @@ def test_matches_single_run_engine_trial_by_trial(case, deterministic):
 @pytest.mark.parametrize("deterministic", [False, True])
 @pytest.mark.parametrize("case", ["case_II_y_zero", "case_I",
                                   "scaled_weights", "bell_half_turn"])
-def test_a_trial_draws_one_word_per_table_column(case, deterministic):
-    """``monte_carlo`` draws ``len(table.edges)`` words per trial (1, or
-    3 in deterministic mode), row-major from the decision stream, over
-    several blocks: its counts, Bell pairs and mean fidelity are those
-    of the leaves the words pick, bit for bit."""
+def test_a_trial_reads_its_branch_word_and_a_failure_a_word_pair(
+        case, deterministic):
+    """``monte_carlo`` reads trial ``i``'s branch from word ``i`` of the
+    decision stream and, in deterministic mode, the ``j``-th failure's
+    ``b`` and recovery branch from the ``j``-th word pair after the
+    branch words, over several blocks: its counts, Bell pairs and mean
+    fidelity are those of the leaves the words pick, bit for bit."""
     params, w = case_point(case)
     n, seed = 2 * montecarlo._CHUNK + 123, 19
     got = monte_carlo(params, n, seed, weights=w, deterministic=deterministic)
     table = montecarlo._transcript_table(params, w, deterministic)
     assert len(table.edges) == (3 if deterministic else 1)
-    leaf = montecarlo._leaves(table, engine_streams(seed, n, len(table.edges)))
+    leaf = montecarlo._leaves(table, engine_streams(seed, n, table))
     hist = np.bincount(leaf, minlength=table.branch.size)
     counts = tuple(int(hist[table.branch == b].sum()) for b in (1, 2, 3))
     reached = np.flatnonzero(hist)
@@ -160,6 +181,18 @@ def test_a_trial_draws_one_word_per_table_column(case, deterministic):
         mean_fidelity=montecarlo._fid_units(finished, fid[have])
         / (int(finished.sum()) << montecarlo._FID_BITS))
     assert got == want
+
+
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+def test_deterministic_branch_counts_are_the_plain_ones(case):
+    """Both modes read each trial's branch from the same word, so at one
+    seed and weights they count the same branches."""
+    params, w = case_point(case)
+    for n, seed in ((1, 3), (5000, 8), (2 * montecarlo._CHUNK + 7, 9)):
+        plain = monte_carlo(params, n, seed, weights=w)
+        det = monte_carlo(params, n, seed, weights=w, deterministic=True)
+        assert det.branch_counts == plain.branch_counts
+        assert det.z_score == plain.z_score
 
 
 #: Edges at and next to the ends of [0, 1], and the middle.
@@ -221,7 +254,7 @@ def test_word_leaves_are_the_deviate_leaves(case, deterministic):
                    if 0 <= c + d < 2 ** 64})
     k = len(table.edges)
     words = np.concatenate([
-        engine_streams(list(EQUIVALENCE_CASES).index(case), 100_000, k),
+        engine_streams(list(EQUIVALENCE_CASES).index(case), 100_000, table),
         np.repeat(np.array(near, dtype=np.uint64)[:, None], k, axis=1)])
     leaf = montecarlo._leaves(table, words)
     assert leaf.dtype == np.uint8
@@ -303,7 +336,7 @@ def test_constant_thresholds_match_born_weights(theta, alpha):
     table = montecarlo._transcript_table(params, w, deterministic=True)
     branch_e, b_e, rbranch_e = table.edges
     n = 1 << 17
-    draws = deviates(engine_streams(5, n, 3))
+    draws = deviates(engine_streams(5, n, table))
     signs = other_deviates(5, n, 2)
     z = input_normals(5, n)
     phi = z[:, :4] + 1j * z[:, 4:]
@@ -762,6 +795,7 @@ any_angle = st.floats() | st.floats(0.0, HALF_PI)
 @example(0.3, 5e-324, 64, False)
 @example(1e-17, 0.8848819307615617, 64, True)     # x + y rounds above 1
 @example(1e-17, 0.8848819307615617, 64, False)
+@example(7.2e-200, 1e-12, 64, True)               # no branch cut below 1
 def test_monte_carlo_is_total(theta, alpha, trials, deterministic):
     """Over every float pair the angles are rejected (ValueError), or a
     small run in either mode gives finite statistics with no warning."""

@@ -90,7 +90,8 @@ def test_scripts_refuse_bad_options_before_any_output(tmp_path, checkout_env,
     assert not out.exists()
 
 
-PATHS = {"monte_carlo", "monte_carlo_deterministic", "run_once",
+PATHS = {"monte_carlo", "monte_carlo_deterministic",
+         "monte_carlo_deterministic_4096", "run_once",
          "run_once_deterministic", "transcript_table", "sweep", "sweep_json",
          "pmax_oracle", "threshold_theta", "decision_draws"}
 
