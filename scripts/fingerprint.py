@@ -9,7 +9,8 @@ residual and Bell pairs of a fixed set of seeded single runs; a
 of one seeded batch with non-optimal weights, which the CLI never uses.
 A ``pmax_oracle`` case hashes the ``repr`` of the search oracle's
 ``(x, y, p)``, a ``transcript_table`` case the bytes and dtype of
-every array of the Monte Carlo transcript tables at one point and mode,
+every array of the Monte Carlo transcript trees at one point, which
+serve both modes,
 and a ``norm`` case the amplitudes of a state normalized, or measured,
 at one scale, or its error; ``norm:StateVector`` normalizes four equal
 amplitudes whose length overflows a double.
@@ -162,14 +163,14 @@ def _norm_digest(kind: str, scale: float) -> str:
     return _digest(*parts)
 
 
-def _table_digest(theta: float, alpha: float, deterministic: bool) -> str:
-    """The transcript tables of the optimal and the scaled weights."""
+def _table_digest(theta: float, alpha: float) -> str:
+    """The transcript trees of the optimal and the scaled weights."""
     params = ProtocolParams(theta, alpha)
     best = optimum(params)
     parts = []
     for scale in (1.0, MC_SCALE):
         weights = PovmWeights(best.x * scale, best.y * scale)
-        table = _transcript_table(params, weights, deterministic)
+        table = _transcript_table(params, weights)
         for field in dataclasses.fields(table):
             value = getattr(table, field.name)
             for a in value if isinstance(value, tuple) else (value,):
@@ -223,11 +224,8 @@ def cases(size: str):
             yield name, _monte_carlo_digest(_angle(theta), _angle(alpha),
                                             deterministic, trials)
     for theta, alpha in MC_POINTS + POINTS:
-        for deterministic in (False, True):
-            name = ":".join(("transcript_table", theta, alpha,
-                             "deterministic" if deterministic else "plain"))
-            yield name, _table_digest(_angle(theta), _angle(alpha),
-                                      deterministic)
+        yield (":".join(("transcript_table", theta, alpha)),
+               _table_digest(_angle(theta), _angle(alpha)))
     for kind, scales in (("haar_state", HAAR_SCALES),
                          ("measure_qubit", MEASURE_SCALES),
                          ("StateVector", OVERFLOW_SCALES)):

@@ -2,27 +2,27 @@
 
 Runs many independent protocol attempts in vectorized form and reports
 success rates, fidelities and entanglement spending.  At a fixed
-parameter point and POVM, one attempt is a finite tree of classical
-transcripts: Alice's sign, Bob's POVM branch and, after a failure, the
-``b`` outcome and the recovery's sign and branch.  None of their
-probabilities depends on the data state, and every leaf acts on (A, B)
-as a constant diagonal unitary.
+parameter point and POVM, one attempt is a short tree of classical
+transcripts: Bob's POVM branch and, after a failure, the ``b`` outcome
+and the Bell recovery's branch.  None of their probabilities depends on
+the data state, and every leaf acts on (A, B) as a constant diagonal
+unitary.
 
-So each call first looks up a *transcript table*, built once per
-parameter point, POVM and mode and then kept in a small memo: it walks
-the protocol's attempt, the one generator behind
+So each call first looks up the point's *transcript table*, the tree
+built once per parameter point and POVM for both modes and then kept in
+a small memo: it walks the protocol's attempt, the one generator behind
 :func:`~entrot.protocol.run_once`, on one fixed probe state, with a
 deviate from the middle of each outcome's interval, and reads each
 leaf's diagonal off the probe, in the walk's own register order: the
 probe's amplitudes all differ in modulus, so a leaf read in any other
 order fails the table's unit-modulus check.  The labels (branch, Bell
 pairs, the folding of a vanishing failure branch) are whatever that walk
-returned.  Alice's sign is one bin, in the attempt and in the recovery:
-after her controlled phase the two values of ``a`` sit on different
-values of ``b``, so her -1 arm is her +1 arm with its ``b = 1``
-amplitudes negated, and Bob's ``sz`` negates them back exactly.  The
-signs differ only in the transcript, so the table walks one of them and
-cuts no column for either.  A trial then needs no state simulation.
+returned.  Alice's sign is no level of the tree, in the attempt or in
+the recovery: after her controlled phase the two values of ``a`` sit on
+different values of ``b``, so her -1 arm is her +1 arm with its
+``b = 1`` amplitudes negated, and Bob's ``sz`` negates them back
+exactly.  The signs differ only in the transcript, so the table walks
+one of them.  A trial then needs no state simulation.
 Its deviates pick a leaf by the thresholds
 :func:`~entrot.protocol.run_once` applies, set at the constant
 probabilities (``x`` and ``x + y`` for the branch, and for ``b`` the
@@ -41,19 +41,18 @@ form.  So no input is drawn: each leaf's fidelity is exact for a fixed
 input and averaged over Haar inputs otherwise, and a call only counts
 how many trials reach each leaf.  The draws are raw 64-bit words from
 one counter-based stream derived from a 64-bit seed, making every
-summary bit-for-bit reproducible.  Trial ``i``'s branch is word ``i``.
-In deterministic mode the ``j``-th failure, in trial order, then reads
-words ``trials + 2j`` and ``trials + 2j + 1``: its ``b`` outcome and the
-recovery's branch.  A success reads no more words, as its leaf repeats
-along the columns it does not consult, and a sign picks no leaf, so it
-draws none.  So a call counts the branch words at each branch cut and
-picks a leaf only for each failure: a trial reads ``1 + 2f`` words on
-average at failure rate ``f``, and both modes count the same branches
-at one seed and weights.  A word ``w`` stands for the deviate
-``(w >> 11) * 2**-53`` that ``Generator.random`` makes of it, and the
-table holds each threshold as the least word whose deviate reaches it,
-so a leaf is picked by integer comparisons that agree exactly with the
-deviates' own.
+summary bit-for-bit reproducible.  Trial ``i``'s branch is word ``i``,
+and a call counts the branch words at each branch cut: that fills the
+tree's first level, one leaf per branch bin, and a plain call reads no
+more.  In deterministic mode the ``j``-th failure, in trial order, then
+reads words ``trials + 2j`` and ``trials + 2j + 1``, its ``b`` outcome
+and the recovery's branch, which pick its leaf on the failure level.
+So a trial reads ``1 + 2f`` words on average at failure rate ``f``, and
+both modes count the same branches at one seed and weights.  A word
+``w`` stands for the deviate ``(w >> 11) * 2**-53`` that
+``Generator.random`` makes of it, and the table holds each threshold as
+the least word whose deviate reaches it, so a leaf is picked by integer
+comparisons that agree exactly with the deviates' own.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import pairwise
 
 import numpy as np
@@ -92,8 +91,8 @@ _DECISION_CHANNEL = 1
 _PROBE = StateVector(("A", "B"),
                      np.array([1.0, 2.0j, -3.0, -4.0j]) / math.sqrt(30.0))
 
-#: How far a leaf's diagonal may stray from unit modulus, and the leaf
-#: probabilities' sum from 1, before the table is rejected.
+#: How far a leaf's diagonal may stray from unit modulus, and a column's
+#: bin widths' sum from 1, before the table is rejected.
 _UNIT_TOL = 1e-12
 _SUM_TOL = 1e-9
 
@@ -138,109 +137,118 @@ def _reading(state: StateVector) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _TranscriptTable:
-    """Every transcript of one attempt, one leaf per cell of deviate bins.
+    """One attempt's transcript tree, stored level by level.
 
-    The word a trial reads for column ``k`` is cut into bins at
-    ``edges[k]``; a trial's leaf is the row-major index of its bins.
-    ``cuts[k]`` holds the same edges as raw words (:func:`_word`), less
-    any at or above 1, which no deviate reaches.  ``phases`` holds each
-    leaf's diagonal, NaN where a failure is left unrecovered, and
-    ``overlap`` the same times the conjugate target diagonal.  Tables
-    are memoised and shared, so every array is read-only.
+    Leaves 0-2 are the branch bins, which cut a trial's branch word at
+    ``edges[0]``.  A bin that fails (branch 3) is the failure left
+    unrecovered: bin 2, or a lower bin whose deviates all lie within
+    round-off of a success edge.  Where the walk reaches a failure, the
+    table has a failure level below leaf 2: a failure's word pair is cut
+    at ``edges[1]``, its ``b`` outcome, and ``edges[2]``, the recovery's
+    branch, and leaf ``3 + 3b + r`` is the failure recovered on the
+    recovery's branch ``r``; a failure that owes no rotation repeats its
+    leaf along ``r``.
+    ``cuts[k]`` holds the edges of ``edges[k]`` as raw words
+    (:func:`_word`), less any at or above 1, which no deviate reaches.
+    ``prob`` holds each leaf's probability of being reached: the branch
+    leaves sum to 1, and so do the successes with the recovered
+    failures.  ``phases`` holds each leaf's diagonal, NaN where a
+    failure is left unrecovered, and ``overlap`` the same times the
+    conjugate target diagonal.  Tables are memoised and shared, so every
+    array is read-only.
     """
 
     edges: tuple[np.ndarray, ...]
     cuts: tuple[np.ndarray, ...]
+    prob: np.ndarray
     branch: np.ndarray
     bell: np.ndarray
     phases: np.ndarray
     overlap: np.ndarray
 
 
-# Room for two points in both modes: four root tables and up to four
-# recovery sub-tables, with slack.  A raised error is not cached.
+# Room for four points: a tree and up to two recovery trees each, with
+# slack.  A raised error is not cached.
 @lru_cache(maxsize=16)
-def _transcript_table(params: ProtocolParams, weights: PovmWeights,
-                      deterministic: bool) -> _TranscriptTable:
+def _transcript_table(params: ProtocolParams,
+                      weights: PovmWeights) -> _TranscriptTable:
     """Walk the protocol's attempt on the probe, one deviate per bin.
 
     :func:`~entrot.protocol._walk` shares prefixes, so steps 1-3 run
     once, for the one sign bin, and the POVM once per branch bin.  Walk
-    columns 1 and 2 (branch and ``b``) are table columns 0 and 1.  A
-    plain table has only the branch column, offers the failure's ``b``
-    as one whole bin and leaves those leaves NaN.  A failure's recovery
-    depends only on the ``b`` outcome; its sub-table is this walk of the
-    recovery attempt, which the memo builds once per outcome, with its
-    one column, the recovery's branch, spliced in as the last and its
-    leaves multiplied into the failure's.  A column a transcript does
-    not consult repeats the leaf along its axis.
+    columns 1 and 2 (branch and ``b``) are table columns 0 and 1, and
+    the walk asks for column 2 only where a branch bin fails, so a
+    vanishing failure bin that the POVM step folds into a success makes
+    no failure level.  A failure's recovery depends only on the ``b``
+    outcome; its tree is this walk of the recovery attempt, which the
+    memo builds once per outcome, whose branch edges are table column 2
+    and whose branch leaves are multiplied into the failure's.
     Raises ``ValueError`` for a non-positive POVM (from the POVM step),
     and when a leaf's probability or diagonal breaks the premise.
     """
     edges = [(weights.x, weights.x + weights.y)]
-    if deterministic:
-        # columns 1 and 2 stay one whole bin until a failure cuts them at
-        # the b threshold and at the recovery attempt's own branch edges
-        edges += [(1.0,), (1.0, 1.0)]
-    # a leading axis of one bin for the sign, so the walk's bins index it
-    shape = (1, *(len(e) + 1 for e in edges))
-    phases = np.full(shape + (4,), np.nan, dtype=complex)
-    branch = np.zeros(shape, dtype=np.int64)
-    bell = np.zeros(shape, dtype=np.int64)
+    phases = np.full((9, 4), np.nan, dtype=complex)
+    branch, bell = np.zeros((2, 9), dtype=np.int64)
 
     def pick(column, povm):
-        if column == 2 and deterministic:
-            edges[1] = (_failure_law(povm)[0],)
-        # the sign, and a plain table's b, are one whole bin and no column
-        return _bins(edges[column - 1] if 0 < column <= len(edges) else ())
+        if column == 2:
+            # a failure: its b, and the recovery's branch as one bin
+            # until a failure owes a rotation
+            edges[1:] = [(_failure_law(povm)[0],), (1.0, 1.0)]
+        # the sign is one whole bin and no column
+        return _bins(edges[column - 1] if column else ())
 
     for bins, got, _, state, _, owed in _walk(params, weights, _PROBE, pick):
-        branch[bins[:2]] = got
+        branch[bins[1]] = got
         if owed is None:
-            phases[bins] = _reading(state)
-        elif deterministic:
-            phases[bins] = _reading(state)
-            attempt = _recovery(owed)
-            if attempt is not None:
-                sub = _transcript_table(*attempt, False)
-                edges[2:] = sub.edges
-                phases[bins] *= sub.phases
-                bell[bins] = 1  # the recovery's resource, a Bell pair
+            phases[bins[1]] = _reading(state)
+            continue
+        leaves = slice(3 + 3 * bins[2], 6 + 3 * bins[2])
+        branch[3:], phases[leaves] = got, _reading(state)
+        attempt = _recovery(owed)
+        if attempt is not None:
+            sub = _transcript_table(*attempt)
+            edges[2] = sub.edges[0]
+            phases[leaves] *= sub.phases[:3]
+            bell[leaves] = 1  # the recovery's resource, a Bell pair
 
     # Bin widths are clipped at 0, so each column's widths sum to at least
-    # 1, with equality only for ordered edges in [0, 1].  Leaf
-    # probabilities summing to 1 are therefore also finite and in [0, 1].
-    prob = reduce(np.multiply.outer, [
-        np.array([max(hi - lo, 0.0) for lo, hi in pairwise((0.0, *e, 1.0))])
-        for e in edges])
-    if not abs(prob.sum() - 1.0) <= _SUM_TOL:
+    # 1, with equality only for ordered edges in [0, 1].  Columns summing
+    # to 1 therefore give finite leaf probabilities in [0, 1].
+    widths = [[max(hi - lo, 0.0) for lo, hi in pairwise((0.0, *e, 1.0))]
+              for e in edges]
+    if not all(abs(sum(w) - 1.0) <= _SUM_TOL for w in widths):
         raise ValueError(
             f"transcript probabilities at {params} with {weights} are not "
             f"a distribution")
-    live = (prob > 0.0) & ((branch != 3) | deterministic)
-    modulus = np.abs(phases[live])
+    prob = np.array(widths[0])
+    if len(widths) > 1:
+        # leaf 2's failure, then its b and the recovery's branch
+        prob = np.append(prob, prob[2] * np.outer(*widths[1:]))
+    n = prob.size
+    # a failing branch leaf is the failure left unrecovered: NaN
+    live = (prob > 0.0) & ((branch[:n] != 3) | (np.arange(n) > 2))
+    modulus = np.abs(phases[:n][live])
     if not (np.isfinite(modulus).all()
             and np.abs(modulus - 1.0).max(initial=0.0) <= _UNIT_TOL):
         raise ValueError(
             f"a transcript at {params} with {weights} does not act as a "
             f"diagonal unitary on the data")
     target = controlled_rotation(params.theta).diagonal()
-    phases = phases.reshape(-1, 4)
     return _TranscriptTable(
         edges=tuple(_frozen(np.array(e, dtype=float)) for e in edges),
         cuts=tuple(_frozen(np.array([_word(x) for x in e if x < 1.0],
                                     dtype=np.uint64)) for e in edges),
-        branch=_frozen(branch.reshape(-1)), bell=_frozen(bell.reshape(-1)),
-        phases=_frozen(phases), overlap=_frozen(target.conj() * phases))
+        prob=_frozen(prob), branch=_frozen(branch[:n]),
+        bell=_frozen(bell[:n]), phases=_frozen(phases[:n]),
+        overlap=_frozen(target.conj() * phases[:n]))
 
 
 def _leaves(table: _TranscriptTable, words: np.ndarray) -> np.ndarray:
-    """The leaf each row of raw words ``words`` picks among the table's
-    last ``words.shape[1]`` columns, in the smallest unsigned dtype that
-    holds every leaf index of the table."""
-    k = words.shape[1]
-    leaf = np.zeros(len(words), np.min_scalar_type(table.branch.size - 1))
-    for w, edges, cuts in zip(words.T, table.edges[-k:], table.cuts[-k:]):
+    """The failure leaf ``3b + r``, counted from leaf 3, that each row of
+    raw words ``words`` picks: its ``b`` and recovery-branch words."""
+    leaf = np.zeros(len(words), np.uint8)
+    for w, edges, cuts in zip(words.T, table.edges[1:], table.cuts[1:]):
         leaf *= edges.size + 1
         for cut in cuts:
             leaf += w >= cut
@@ -324,30 +332,27 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
     bits = _rng_from_seed(seed, _DECISION_CHANNEL).bit_generator
     if weights is None:
         weights = optimum(params).weights
-    table = _transcript_table(params, weights, deterministic)
+    table = _transcript_table(params, weights)
 
     # trial i's branch is word i: count the words at or above each cut
     ge = [0] * table.cuts[0].size
     for done in range(0, trials, _CHUNK):
         w = bits.random_raw(min(_CHUNK, trials - done))
         ge = [g + np.count_nonzero(w >= c) for g, c in zip(ge, table.cuts[0])]
-    # row b of this view holds branch bin b's leaves: all of its trials
-    # reach the first, which a success repeats along the columns it
-    # does not read
     hist = np.zeros(table.branch.size, dtype=np.int64)
-    bins = hist.reshape(table.edges[0].size + 1, -1)
-    bins[:len(ge) + 1, 0] = [a - b for a, b in pairwise([trials, *ge, 0])]
-    if deterministic:
-        # the j-th failure in trial order reads words trials + 2j and
-        # trials + 2j + 1, its b and the recovery's branch.  Blocks of a
-        # power of two rows, the last cut short after its draw, keep a
-        # call's arrays to a few sizes: arrays sized to each call's own
-        # failure count raised the process's peak memory call by call.
-        fails, bins[-1, 0] = int(bins[-1, 0]), 0
+    hist[:len(ge) + 1] = [a - b for a, b in pairwise([trials, *ge, 0])]
+    if deterministic and len(table.edges) > 1:
+        # the failures move off leaf 2: the j-th in trial order reads
+        # words trials + 2j and trials + 2j + 1, its b and the
+        # recovery's branch.  Blocks of a power of two rows, the last cut
+        # short after its draw, keep a call's arrays to a few sizes:
+        # arrays sized to each call's own failure count raised the
+        # process's peak memory call by call.
+        fails, hist[2] = int(hist[2]), 0
         for j in range(0, fails, _CHUNK):
             rows = min(_CHUNK, 1 << (fails - j - 1).bit_length())
             leaf = _leaves(table, bits.random_raw(2 * rows).reshape(rows, 2))
-            bins[-1] += np.bincount(leaf[:fails - j], minlength=bins.shape[1])
+            hist[3:] += np.bincount(leaf[:fails - j], minlength=6)
 
     counts = [int(hist[table.branch == b].sum()) for b in (1, 2, 3)]
     reached = np.flatnonzero(hist)
@@ -359,13 +364,12 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
 
     success = counts[0] + counts[1]
     empirical_p = success / trials
-    analytic_p = weights.x + weights.y
     # x + y may round above 1, and a tiny law's variance may underflow
-    law = min(analytic_p, 1.0)
-    var = law * (1.0 - law) / trials
+    analytic_p = min(weights.x + weights.y, 1.0)
+    var = analytic_p * (1.0 - analytic_p) / trials
     se = (math.sqrt(var) if var >= sys.float_info.min
-          else math.sqrt(law) * math.sqrt((1.0 - law) / trials))
-    gap = empirical_p - law
+          else math.sqrt(analytic_p) * math.sqrt((1.0 - analytic_p) / trials))
+    gap = empirical_p - analytic_p
     z = gap / se if se else math.copysign(math.inf, gap) if gap else 0.0
     mean_bell = int(hist @ table.bell) / trials
     return SummaryStats(

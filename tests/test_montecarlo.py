@@ -34,23 +34,35 @@ def engine_words(seed, m):
     return bits.random_raw(m)
 
 
-def engine_streams(seed, n, table):
+def engine_streams(seed, n, table, deterministic):
     """The raw decision words ``monte_carlo`` reads on ``table`` for ``n``
     trials, one row per trial and one column per table column.  Column 0,
     the branch, is the stream's first ``n`` words.  In deterministic mode
-    the ``j``-th failure (a branch deviate at or above ``x + y``) reads
-    the ``j``-th word pair after them as its ``b`` and recovery branch.
-    A success reads no more words: its tail comes from
-    :func:`other_deviates`, so it may move no leaf."""
+    the ``j``-th failure (a branch word in bin 2, where the table has a
+    failure level) reads the ``j``-th word pair after them as its ``b``
+    and recovery branch.  A success, and a plain failure, read no more
+    words: their tail comes from :func:`other_deviates`, so it may move
+    no leaf."""
     k = len(table.edges)
     words = engine_words(seed, 3 * n)
     rows = other_deviates(seed, n, k)
     rows = (rows * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
     rows[:, 0] = words[:n]
-    if k > 1:
-        fail = deviates(words[:n]) >= table.edges[0][-1]
+    if deterministic and k > 1:
+        fail = (words[:n, None] >= table.cuts[0]).sum(axis=1) == 2
         rows[fail, 1:] = words[n:n + 2 * fail.sum()].reshape(-1, 2)
     return rows
+
+
+def tree_leaves(table, words, deterministic):
+    """The leaf each row of raw words picks in one mode: its branch bin,
+    and in deterministic mode, for a failure in bin 2, leaf 3 plus the
+    failure leaf its ``b`` and recovery-branch words pick."""
+    leaf = (words[:, :1] >= table.cuts[0]).sum(axis=1)
+    if deterministic and len(table.edges) > 1:
+        fail = leaf == 2
+        leaf[fail] = 3 + montecarlo._leaves(table, words[fail, 1:])
+    return leaf
 
 
 def deviates(words):
@@ -66,7 +78,7 @@ def input_normals(seed, n):
 
 def other_deviates(seed, n, k):
     """``k`` deviates per trial for the draws the engine does not read
-    (the signs, a plain table's ``b`` and a success's tail), from a
+    (the signs, and the tail of a success or of a plain failure), from a
     stream of ``seed`` (tag 3) disjoint from the engine's and the
     inputs'."""
     return _rng_from_seed(seed, 3).random((n, k))
@@ -116,7 +128,7 @@ def test_matches_single_run_engine_trial_by_trial(case, deterministic):
     _, _, _, basis, branches = EQUIVALENCE_CASES[case]
     params, w = case_point(case)
     n, seed = 300, 77
-    table = montecarlo._transcript_table(params, w, deterministic)
+    table = montecarlo._transcript_table(params, w)
 
     # the stream's words and numpy's own doubles of them agree bit for
     # bit: the table's word cuts rely on this
@@ -124,7 +136,7 @@ def test_matches_single_run_engine_trial_by_trial(case, deterministic):
         3 * n)
     assert np.array_equal(deviates(engine_words(seed, 3 * n)).view(np.uint64),
                           numpy_draws.view(np.uint64))
-    words = engine_streams(seed, n, table)
+    words = engine_streams(seed, n, table, deterministic)
     draws = deviates(words)
     # the signs come from another stream, so no sign may move a leaf
     runs = single_run_draws(seed, draws)
@@ -133,7 +145,7 @@ def test_matches_single_run_engine_trial_by_trial(case, deterministic):
     else:
         states = [StateVector.basis(("A", "B"), basis)] * n
 
-    leaf = montecarlo._leaves(table, words)
+    leaf = tree_leaves(table, words, deterministic)
     assert set(table.branch[leaf].tolist()) == branches
 
     gate = controlled_rotation(params.theta)
@@ -165,9 +177,10 @@ def test_a_trial_reads_its_branch_word_and_a_failure_a_word_pair(
     params, w = case_point(case)
     n, seed = 2 * montecarlo._CHUNK + 123, 19
     got = monte_carlo(params, n, seed, weights=w, deterministic=deterministic)
-    table = montecarlo._transcript_table(params, w, deterministic)
-    assert len(table.edges) == (3 if deterministic else 1)
-    leaf = montecarlo._leaves(table, engine_streams(seed, n, table))
+    table = montecarlo._transcript_table(params, w)
+    assert len(table.edges) == 3
+    leaf = tree_leaves(table, engine_streams(seed, n, table, deterministic),
+                       deterministic)
     hist = np.bincount(leaf, minlength=table.branch.size)
     counts = tuple(int(hist[table.branch == b].sum()) for b in (1, 2, 3))
     reached = np.flatnonzero(hist)
@@ -200,10 +213,9 @@ WORD_EDGES = [0.0, 1.0, 0.5, 2.0 ** -1074, 1.0 - 2.0 ** -53]
 
 
 def _case_edges():
-    """Every edge of every equivalence case's table, in both modes."""
-    return {float(e) for case in EQUIVALENCE_CASES for det in (False, True)
-            for col in montecarlo._transcript_table(*case_point(case),
-                                                    det).edges
+    """Every edge of every equivalence case's table."""
+    return {float(e) for case in EQUIVALENCE_CASES
+            for col in montecarlo._transcript_table(*case_point(case)).edges
             for e in col}
 
 
@@ -229,12 +241,20 @@ def test_word_cut_is_exact_at_the_edge(edge):
                           as_array >= np.uint64(cut))
 
 
-def float_leaves(table, draws):
+def float_failure_leaves(table, draws):
+    """The failure leaf ``3b + r`` each row of deviates ``draws`` picks at
+    the float edges of the ``b`` and recovery-branch columns 1 and 2."""
+    b, r = ((draws[:, col, None] >= table.edges[col]).sum(axis=1)
+            for col in (1, 2))
+    return 3 * b + r
+
+
+def float_leaves(table, draws, deterministic):
     """The leaf each row of deviates ``draws`` picks at the float edges."""
-    leaf = np.zeros(draws.shape[0], dtype=np.intp)
-    for col, edges in enumerate(table.edges):
-        leaf = (leaf * (edges.size + 1)
-                + (draws[:, col, None] >= edges).sum(axis=1))
+    leaf = (draws[:, :1] >= table.edges[0]).sum(axis=1)
+    if deterministic and len(table.edges) > 1:
+        fail = leaf == 2
+        leaf[fail] = 3 + float_failure_leaves(table, draws[fail])
     return leaf
 
 
@@ -243,8 +263,8 @@ def float_leaves(table, draws):
 def test_word_leaves_are_the_deviate_leaves(case, deterministic):
     """A table's cuts are its edges below 1 as words.  On 1e5 seeded rows,
     and on rows of words at and next to every cut, the words pick the
-    leaf their deviates pick."""
-    table = montecarlo._transcript_table(*case_point(case), deterministic)
+    leaf their deviates pick, in the tree and on the failure level."""
+    table = montecarlo._transcript_table(*case_point(case))
     for edges, cuts in zip(table.edges, table.cuts):
         assert cuts.dtype == np.uint64
         assert cuts.tolist() == [montecarlo._word(e) for e in edges
@@ -254,11 +274,16 @@ def test_word_leaves_are_the_deviate_leaves(case, deterministic):
                    if 0 <= c + d < 2 ** 64})
     k = len(table.edges)
     words = np.concatenate([
-        engine_streams(list(EQUIVALENCE_CASES).index(case), 100_000, table),
+        engine_streams(list(EQUIVALENCE_CASES).index(case), 100_000, table,
+                       deterministic),
         np.repeat(np.array(near, dtype=np.uint64)[:, None], k, axis=1)])
-    leaf = montecarlo._leaves(table, words)
-    assert leaf.dtype == np.uint8
-    assert np.array_equal(leaf, float_leaves(table, deviates(words)))
+    draws = deviates(words)
+    assert np.array_equal(tree_leaves(table, words, deterministic),
+                          float_leaves(table, draws, deterministic))
+    if k > 1:
+        leaf = montecarlo._leaves(table, words[:, 1:])
+        assert leaf.dtype == np.uint8
+        assert np.array_equal(leaf, float_failure_leaves(table, draws))
 
 
 @pytest.fixture(scope="module")
@@ -333,10 +358,10 @@ def test_constant_thresholds_match_born_weights(theta, alpha):
     stream, by the single run's rule."""
     params = ProtocolParams(theta, alpha)
     w = optimum(params).weights
-    table = montecarlo._transcript_table(params, w, deterministic=True)
-    branch_e, b_e, rbranch_e = table.edges
+    table = montecarlo._transcript_table(params, w)
+    branch_e = table.edges[0]
     n = 1 << 17
-    draws = deviates(engine_streams(5, n, table))
+    draws = deviates(engine_streams(5, n, table, deterministic=True))
     signs = other_deviates(5, n, 2)
     z = input_normals(5, n)
     phi = z[:, :4] + 1j * z[:, 4:]
@@ -349,6 +374,7 @@ def test_constant_thresholds_match_born_weights(theta, alpha):
 
     fail = np.flatnonzero(new == 2)
     if fail.size:
+        _, b_e, rbranch_e = table.edges
         k3 = psd_sqrt2(povm.e3)
         m = np.einsum("cb,nxyb->nxyc", k3, reg[fail])
         pb = np.sum(np.abs(m) ** 2, axis=(1, 2))
@@ -384,7 +410,7 @@ def test_walked_recovery_is_the_public_recovery(remaining):
     recovery attempt.  Each live leaf's diagonal is, bit for bit, what
     ``recover_with_bell`` does to the probe at that leaf's branch deviate,
     for either sign: both of a branch's signs land on its one leaf."""
-    sub = montecarlo._transcript_table(*_recovery(remaining), False)
+    sub = montecarlo._transcript_table(*_recovery(remaining))
     (edges,) = sub.edges
     leaves = set()
     for u_povm in (0.25, 0.75):
@@ -448,32 +474,41 @@ def test_a_recovery_sign_never_changes_a_leaf(remaining):
     assert_one_sign_suffices(*_recovery(remaining), False)
 
 
-@pytest.mark.parametrize("deterministic,leaves", [(False, 3), (True, 18)])
-def test_a_sign_is_one_bin(deterministic, leaves):
+def test_a_sign_is_one_bin():
     """The table walks one sign per attempt and cuts no column for it.
-    Its columns are the branch, cut at ``(x, x + y)``, and in
-    deterministic mode the failure's ``b`` (one edge) and the recovery's
-    branch (two)."""
+    Its first column is the branch, cut at ``(x, x + y)`` into leaves
+    0-2.  Where the walk fails, a failure level follows: the failure's
+    ``b`` (one edge) and the recovery's branch (two), whose leaves
+    ``3 + 3b + r`` make 9 in all.  A recovery attempt never fails, so
+    its table is the branch level alone."""
     points = ([case_point(case) for case in EQUIVALENCE_CASES]
               + [_recovery(remaining) for remaining in OWED])
     for params, w in points:
-        table = montecarlo._transcript_table(params, w, deterministic)
-        sizes = [2, 1, 2] if deterministic else [2]
+        table = montecarlo._transcript_table(params, w)
+        fails = 3 in table.branch[:3]
+        sizes = [2, 1, 2] if fails else [2]
         assert [e.size for e in table.edges] == sizes
         assert len(table.cuts) == len(sizes)
         assert table.edges[0].tolist() == [w.x, w.x + w.y]
-        assert table.branch.size == len(table.phases) == leaves
+        leaves = 9 if fails else 3
+        assert all(len(a) == leaves for a in (
+            table.prob, table.branch, table.bell, table.phases,
+            table.overlap))
+        assert set(table.branch[3:].tolist()) <= {3}
+    for remaining in OWED:
+        assert len(montecarlo._transcript_table(*_recovery(remaining)).edges
+                   ) == 1
 
 
 @pytest.mark.parametrize("deterministic", [False, True])
 @pytest.mark.parametrize("case", ["case_II_y_zero", "case_I",
                                   "bell_half_turn"])
 def test_failures_read_one_failure_law(case, deterministic):
-    """A failed run's residual angle and the deterministic table's ``b``
-    threshold are both the failure law's, bit for bit."""
+    """A failed run's residual angle and the table's ``b`` threshold are
+    both the failure law's, bit for bit."""
     params, w = case_point(case)
     weight, theta_f = _failure_law(build_povm(params, w))
-    table = montecarlo._transcript_table(params, w, deterministic=True)
+    table = montecarlo._transcript_table(params, w)
     assert [e.hex() for e in table.edges[1]] == [weight.hex()]
     outcomes = set()
     for seed, z in enumerate(input_normals(11, 64)):
@@ -484,6 +519,76 @@ def test_failures_read_one_failure_law(case, deterministic):
             assert out.residual.theta_f.hex() == theta_f[b].hex()
             outcomes.add(b)
     assert outcomes == {0, 1}
+
+
+def reached(table, deterministic):
+    """The leaves a trial can reach in one mode: the branch leaves in a
+    plain call, and in a deterministic one every leaf but leaf 2 where
+    the table has a failure level."""
+    leaves = np.arange(table.prob.size)
+    return leaves != 2 if deterministic and leaves.size > 3 else leaves < 3
+
+
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+def test_leaf_law_sums_to_1_in_each_mode(case):
+    """``prob`` is a law over the leaves each mode reaches.  A Bell pair
+    is spent exactly by a failure that owes a rotation, so ``prob @
+    bell`` is the failure rate ``1 - min(x + y, 1)`` where every
+    failure owes one, and less where some failure owes nothing."""
+    params, w = case_point(case)
+    table = montecarlo._transcript_table(params, w)
+    assert (table.prob >= 0.0).all()
+    for deterministic in (False, True):
+        assert table.prob[reached(table, deterministic)].sum() == \
+            pytest.approx(1.0, abs=1e-15)
+    weight, theta_f = _failure_law(build_povm(params, w))
+    owes = [wrap_angle(params.theta - t) != 0.0 for t, p in
+            zip(theta_f, (weight, 1.0 - weight)) if p > 0.0]
+    rate = 1.0 - min(w.x + w.y, 1.0)
+    if all(owes):
+        assert table.prob @ table.bell == pytest.approx(rate, abs=1e-15)
+    else:
+        assert table.prob @ table.bell < rate
+
+
+#: 0.999 quantiles of the chi-square law, by degrees of freedom.
+CHI2_999 = {1: 10.828, 2: 13.816, 3: 16.266, 4: 18.467, 5: 20.515,
+            6: 22.458, 7: 24.322, 8: 26.124}
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+@pytest.mark.parametrize("case", ["case_II_y_zero", "case_I"])
+def test_leaf_counts_follow_the_leaf_law(case, deterministic):
+    """At a fixed seed, the leaves the engine's words pick over 2e5
+    trials pass a chi-square test against ``prob`` at the 0.999 level,
+    and no trial reaches a leaf the mode's law gives probability 0."""
+    table = montecarlo._transcript_table(*case_point(case))
+    n = 200_000
+    leaf = tree_leaves(table, engine_streams(23, n, table, deterministic),
+                       deterministic)
+    hist = np.bincount(leaf, minlength=table.prob.size)
+    law = np.where(reached(table, deterministic), table.prob, 0.0)
+    assert not hist[law == 0.0].any()
+    live = law > 0.0
+    want = n * law[live]
+    chi2 = float(((hist[live] - want) ** 2 / want).sum())
+    assert chi2 < CHI2_999[int(live.sum()) - 1]
+
+
+def test_a_folded_failure_bin_makes_no_failure_level():
+    """At (1e-13, 0.3) the optimum leaves a failure bin about 1e-13
+    wide, and on the probe the POVM step folds that vanishing branch
+    into a success.  The walk yields no failure, so the table has no
+    failure level, and a deterministic call is the plain call but for
+    its mode."""
+    params = ProtocolParams(1e-13, 0.3)
+    table = montecarlo._transcript_table(params, optimum(params).weights)
+    assert table.prob[2] > 0.0 and table.branch[2] in (1, 2)
+    assert len(table.edges) == 1 and table.branch.size == 3
+    for n, seed in ((64, 64), (5000, 3)):
+        plain = monte_carlo(params, n, seed)
+        det = monte_carlo(params, n, seed, deterministic=True)
+        assert det == dataclasses.replace(plain, deterministic=True)
 
 
 @pytest.fixture
@@ -520,8 +625,9 @@ def test_table_rejects_data_on_another_register_order(monkeypatch,
             yield bins, branch, messages, state.permuted(("B", "A")), *rest
 
     monkeypatch.setattr(montecarlo, "_walk", swapped)
+    params, w = case_point("case_I")
     with pytest.raises(ValueError, match="diagonal unitary"):
-        montecarlo._transcript_table(*case_point("case_I"), deterministic)
+        monte_carlo(params, 10, 0, weights=w, deterministic=deterministic)
 
 
 @pytest.mark.parametrize("name,value,weights", [
@@ -540,22 +646,27 @@ def test_table_rejects_probabilities_that_are_not_a_distribution(
 
 # ----------------------------------------------------- table memo
 
-def test_equal_keys_share_one_read_only_table():
+def test_equal_keys_share_one_read_only_table(fresh_tables):
     """Equal keys give the same table object, which no caller can write
-    to, from a memo of bounded size."""
+    to, from a memo of bounded size.  Both modes read one table: a call
+    in the other mode at a point builds nothing."""
     def point():
         params = ProtocolParams(0.45 * math.pi, 0.35 * math.pi)
         return params, optimum(params).weights
 
-    for deterministic in (False, True):
-        table = montecarlo._transcript_table(*point(), deterministic)
-        assert montecarlo._transcript_table(*point(), deterministic) is table
-        for array in (*table.edges, *table.cuts, table.branch, table.bell,
-                      table.phases, table.overlap):
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
+    table = montecarlo._transcript_table(*point())
+    assert montecarlo._transcript_table(*point()) is table
+    for array in (*table.edges, *table.cuts, table.prob, table.branch,
+                  table.bell, table.phases, table.overlap):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
     maxsize = montecarlo._transcript_table.cache_info().maxsize
     assert maxsize is not None and maxsize <= 16
+    params = ProtocolParams(0.42 * math.pi, 0.31 * math.pi)
+    monte_carlo(params, trials=100, seed=1)
+    misses = montecarlo._transcript_table.cache_info().misses
+    monte_carlo(params, trials=100, seed=1, deterministic=True)
+    assert montecarlo._transcript_table.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -796,6 +907,8 @@ any_angle = st.floats() | st.floats(0.0, HALF_PI)
 @example(1e-17, 0.8848819307615617, 64, True)     # x + y rounds above 1
 @example(1e-17, 0.8848819307615617, 64, False)
 @example(7.2e-200, 1e-12, 64, True)               # no branch cut below 1
+@example(1e-13, 0.3, 64, False)                   # a folded failure bin
+@example(1e-13, 0.3, 64, True)
 def test_monte_carlo_is_total(theta, alpha, trials, deterministic):
     """Over every float pair the angles are rejected (ValueError), or a
     small run in either mode gives finite statistics with no warning."""
@@ -835,3 +948,29 @@ def test_z_score_where_the_variance_underflows():
                     weights=PovmWeights(5e-324, 0.0))
     assert s.branch_counts == (0, 0, 1000)
     assert s.z_score == pytest.approx(-math.sqrt(5e-324 * 1000), rel=1e-12)
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_analytic_p_is_capped_at_1(deterministic):
+    """Near theta = 0 the optimum's ``x + y`` can round to 1 + 2**-52.
+    ``analytic_p`` is that law capped at 1, as ``optimum``'s ``p_max``
+    is."""
+    params = ProtocolParams(1e-17, 0.8848819307615617)
+    best = optimum(params)
+    assert best.x + best.y > 1.0
+    s = monte_carlo(params, 1000, 0, deterministic=deterministic)
+    assert s.analytic_p == best.p_max == 1.0
+
+
+def test_analytic_p_never_exceeds_1_near_theta_0():
+    """A seeded scan of resources at theta = 1e-17 meets laws that round
+    above 1, and every summary's ``analytic_p`` is at most 1."""
+    rounded = 0
+    for i, alpha in enumerate(
+            np.random.default_rng(0).uniform(0.8, 1.1, 400).tolist()):
+        params = ProtocolParams(1e-17, alpha)
+        best = optimum(params)
+        rounded += best.x + best.y > 1.0
+        s = monte_carlo(params, 16, i, deterministic=bool(i % 2))
+        assert s.analytic_p <= 1.0, alpha
+    assert rounded
