@@ -474,13 +474,18 @@ def test_a_recovery_sign_never_changes_a_leaf(remaining):
     assert_one_sign_suffices(*_recovery(remaining), False)
 
 
-def test_a_sign_is_one_bin():
+@pytest.mark.parametrize("deterministic,cells", [(False, 3), (True, 18)])
+def test_a_sign_is_one_bin(deterministic, cells):
     """The table walks one sign per attempt and cuts no column for it.
     Its first column is the branch, cut at ``(x, x + y)`` into leaves
     0-2.  Where the walk fails, a failure level follows: the failure's
     ``b`` (one edge) and the recovery's branch (two), whose leaves
     ``3 + 3b + r`` make 9 in all.  A recovery attempt never fails, so
-    its table is the branch level alone."""
+    its table is the branch level alone.  Both modes read this one
+    tree: a plain call its branch column, 3 cells, and a deterministic
+    call at a failing point every column, ``3 * 2 * 3 = 18`` cells,
+    whose failure cells :func:`_leaves` sends one to one onto leaves
+    3-8."""
     points = ([case_point(case) for case in EQUIVALENCE_CASES]
               + [_recovery(remaining) for remaining in OWED])
     for params, w in points:
@@ -495,6 +500,18 @@ def test_a_sign_is_one_bin():
             table.prob, table.branch, table.bell, table.phases,
             table.overlap))
         assert set(table.branch[3:].tolist()) <= {3}
+        read = table.edges if deterministic else table.edges[:1]
+        assert math.prod(e.size + 1 for e in read) == (
+            cells if fails else 3)
+        if deterministic and fails:
+            # the least word of each nonempty bin of the b and recovery
+            # columns
+            b, r = (np.unique(np.append(np.uint64(0), c))
+                    for c in table.cuts[1:])
+            words = np.array([[u, v] for u in b for v in r], np.uint64)
+            leaf = montecarlo._leaves(table, words)
+            assert len(set(leaf.tolist())) == len(words)
+            assert set(leaf.tolist()) <= set(range(6))
     for remaining in OWED:
         assert len(montecarlo._transcript_table(*_recovery(remaining)).edges
                    ) == 1
