@@ -18,7 +18,6 @@ Example:
 import argparse
 import importlib
 import importlib.util
-import inspect
 import itertools
 import json
 import math
@@ -69,14 +68,9 @@ def _paths(package, size: str, workdir: str) -> dict:
                      "--out", out, *fmt]) != 0:
             raise RuntimeError("sweep failed")
 
-    # the table a deterministic call reads: one tree per point serves
-    # both modes, where an older checkout builds a table per mode
-    mode = ((True,) if "deterministic" in inspect.signature(
-        mc._transcript_table).parameters else ())
-
     def table():
         mc._transcript_table.cache_clear()  # time a build, not a memo hit
-        return mc._transcript_table(params, weights, *mode)
+        return mc._transcript_table(params, weights)
 
     def oracle():
         angles = rng.uniform(0.05, 0.5, 2) * math.pi

@@ -95,9 +95,7 @@ def _costs(ct, st, ca, sa, e):
     """``(cross, band, x, y, p_max, avg_cost)`` from ``_trig(theta)`` and
     ``_alpha_terms(alpha)``, as floats or arrays (broadcast); the caller
     validates the angles, as for ``povm._closed_form``."""
-    cross, band, x, y, _ = _closed_form(ct, st, ca, sa)
-    # a success probability, so x + y rounded above 1 is capped there
-    p = _where(x + y > 1.0, 1.0, x + y)
+    cross, band, x, y, p, _ = _closed_form(ct, st, ca, sa)
     return cross, band, x, y, p, 1.0 - p + e
 
 

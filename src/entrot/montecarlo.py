@@ -42,14 +42,15 @@ input and averaged over Haar inputs otherwise, and a call only counts
 how many trials reach each leaf.  The draws are raw 64-bit words from
 one counter-based stream derived from a 64-bit seed, making every
 summary bit-for-bit reproducible.  Trial ``i``'s branch is word ``i``,
-and a call counts the branch words at each branch cut: that fills the
-tree's first level, one leaf per branch bin, and a plain call reads no
-more.  In deterministic mode the ``j``-th failure, in trial order, then
-reads words ``trials + 2j`` and ``trials + 2j + 1``, its ``b`` outcome
-and the recovery's branch, which pick its leaf on the failure level.
-So a trial reads ``1 + 2f`` words on average at failure rate ``f``, and
-both modes count the same branches at one seed and weights.  A word
-``w`` stands for the deviate ``(w >> 11) * 2**-53`` that
+and a call counts the branch words at each branch cut: each branch
+bin's count goes to the leaf of the branch the walk returned there, so
+the tree's first level has one leaf per branch and a plain call reads
+no more.  In deterministic mode the ``j``-th failure, in trial order,
+then reads words ``trials + 2j`` and ``trials + 2j + 1``, its ``b``
+outcome and the recovery's branch, which pick its leaf on the failure
+level.  So a trial reads ``1 + 2f`` words on average at failure rate
+``f``, and both modes count the same branches at one seed and weights.
+A word ``w`` stands for the deviate ``(w >> 11) * 2**-53`` that
 ``Generator.random`` makes of it, and the table holds each threshold as
 the least word whose deviate reaches it, so a leaf is picked by integer
 comparisons that agree exactly with the deviates' own.
@@ -139,21 +140,24 @@ def _reading(state: StateVector) -> np.ndarray:
 class _TranscriptTable:
     """One attempt's transcript tree, stored level by level.
 
-    Leaves 0-2 are the branch bins, which cut a trial's branch word at
-    ``edges[0]``.  A bin that fails (branch 3) is the failure left
-    unrecovered: bin 2, or a lower bin whose deviates all lie within
-    round-off of a success edge.  Where the walk reaches a failure, the
-    table has a failure level below leaf 2: a failure's word pair is cut
-    at ``edges[1]``, its ``b`` outcome, and ``edges[2]``, the recovery's
-    branch, and leaf ``3 + 3b + r`` is the failure recovered on the
-    recovery's branch ``r``; a failure that owes no rotation repeats its
-    leaf along ``r``.
+    Leaves 0-2 are the branches: leaf ``k`` is branch ``k + 1``.  A
+    trial's branch word is cut at ``edges[0]`` into three bins, and
+    ``leaf`` maps each bin to the leaf of the branch the walk returned
+    there.  That is mostly the bin's own index, but a vanishing failure
+    bin may fold into a success, and a success bin whose deviates all lie
+    within round-off of an edge may fail.  So leaf 2 is every failure,
+    whichever bin it came from, and a plain call leaves it unrecovered.
+    Where the walk reaches a failure, the table has a failure level
+    below leaf 2: a failure's word pair is cut at ``edges[1]``, its
+    ``b`` outcome, and ``edges[2]``, the recovery's branch, and leaf
+    ``3 + 3b + r`` is the failure recovered on the recovery's branch
+    ``r``; a failure that owes no rotation repeats its leaf along ``r``.
     ``cuts[k]`` holds the edges of ``edges[k]`` as raw words
     (:func:`_word`), less any at or above 1, which no deviate reaches.
     ``prob`` holds each leaf's probability of being reached: the branch
     leaves sum to 1, and so do the successes with the recovered
-    failures.  ``phases`` holds each leaf's diagonal, NaN where a
-    failure is left unrecovered, and ``overlap`` the same times the
+    failures.  ``phases`` holds each leaf's diagonal, NaN at leaf 2 and
+    at any leaf never reached, and ``overlap`` the same times the
     conjugate target diagonal.  Tables are memoised and shared, so every
     array is read-only.
     """
@@ -161,7 +165,7 @@ class _TranscriptTable:
     edges: tuple[np.ndarray, ...]
     cuts: tuple[np.ndarray, ...]
     prob: np.ndarray
-    branch: np.ndarray
+    leaf: np.ndarray
     bell: np.ndarray
     phases: np.ndarray
     overlap: np.ndarray
@@ -176,19 +180,22 @@ def _transcript_table(params: ProtocolParams,
 
     :func:`~entrot.protocol._walk` shares prefixes, so steps 1-3 run
     once, for the one sign bin, and the POVM once per branch bin.  Walk
-    columns 1 and 2 (branch and ``b``) are table columns 0 and 1, and
-    the walk asks for column 2 only where a branch bin fails, so a
-    vanishing failure bin that the POVM step folds into a success makes
-    no failure level.  A failure's recovery depends only on the ``b``
-    outcome; its tree is this walk of the recovery attempt, which the
-    memo builds once per outcome, whose branch edges are table column 2
-    and whose branch leaves are multiplied into the failure's.
+    columns 1 and 2 (branch and ``b``) are table columns 0 and 1.  A
+    success's reading goes to the leaf of the branch the walk returned,
+    and a bin's width to that leaf's probability.  The walk asks for
+    column 2 only where a branch bin fails, so a vanishing failure bin
+    that the POVM step folds into a success makes no failure level, and
+    a success bin that fails makes one.  A failure's recovery depends
+    only on the ``b`` outcome; its tree is this walk of the recovery
+    attempt, which the memo builds once per outcome, whose branch edges
+    are table column 2 and whose branch leaves are multiplied into the
+    failure's.
     Raises ``ValueError`` for a non-positive POVM (from the POVM step),
     and when a leaf's probability or diagonal breaks the premise.
     """
     edges = [(weights.x, weights.x + weights.y)]
     phases = np.full((9, 4), np.nan, dtype=complex)
-    branch, bell = np.zeros((2, 9), dtype=np.int64)
+    leaf, bell = np.arange(3), np.zeros(9, dtype=np.int64)
 
     def pick(column, povm):
         if column == 2:
@@ -199,12 +206,12 @@ def _transcript_table(params: ProtocolParams,
         return _bins(edges[column - 1] if column else ())
 
     for bins, got, _, state, _, owed in _walk(params, weights, _PROBE, pick):
-        branch[bins[1]] = got
+        leaf[bins[1]] = got - 1
         if owed is None:
-            phases[bins[1]] = _reading(state)
+            phases[got - 1] = _reading(state)
             continue
         leaves = slice(3 + 3 * bins[2], 6 + 3 * bins[2])
-        branch[3:], phases[leaves] = got, _reading(state)
+        phases[leaves] = _reading(state)
         attempt = _recovery(owed)
         if attempt is not None:
             sub = _transcript_table(*attempt)
@@ -221,13 +228,13 @@ def _transcript_table(params: ProtocolParams,
         raise ValueError(
             f"transcript probabilities at {params} with {weights} are not "
             f"a distribution")
-    prob = np.array(widths[0])
+    prob = np.bincount(leaf, widths[0], minlength=3)
     if len(widths) > 1:
         # leaf 2's failure, then its b and the recovery's branch
         prob = np.append(prob, prob[2] * np.outer(*widths[1:]))
     n = prob.size
-    # a failing branch leaf is the failure left unrecovered: NaN
-    live = (prob > 0.0) & ((branch[:n] != 3) | (np.arange(n) > 2))
+    # leaf 2 is the failure left unrecovered: NaN
+    live = (prob > 0.0) & (np.arange(n) != 2)
     modulus = np.abs(phases[:n][live])
     if not (np.isfinite(modulus).all()
             and np.abs(modulus - 1.0).max(initial=0.0) <= _UNIT_TOL):
@@ -239,7 +246,7 @@ def _transcript_table(params: ProtocolParams,
         edges=tuple(_frozen(np.array(e, dtype=float)) for e in edges),
         cuts=tuple(_frozen(np.array([_word(x) for x in e if x < 1.0],
                                     dtype=np.uint64)) for e in edges),
-        prob=_frozen(prob), branch=_frozen(branch[:n]),
+        prob=_frozen(prob), leaf=_frozen(leaf),
         bell=_frozen(bell[:n]), phases=_frozen(phases[:n]),
         overlap=_frozen(target.conj() * phases[:n]))
 
@@ -264,7 +271,8 @@ def _leaf_fidelity(overlap: np.ndarray,
     weights ``w_k = |phi_k|^2``: exact for the fixed ``weight``.  With
     ``weight=None`` it is averaged over Haar inputs, whose weights are
     Dirichlet(1, 1, 1, 1) with ``E[w_k w_l] = (1 + delta_kl) / 20``.  NaN
-    for a leaf whose ``c`` is NaN (a failure left unrecovered).
+    for a leaf whose ``c`` is NaN; the engine passes only leaves that
+    finish the gate, never leaf 2.
     """
     if weight is None:
         total = overlap.sum(axis=1)
@@ -280,10 +288,10 @@ class SummaryStats:
 
     ``mean_fidelity`` is against the target gate and averages over the
     trials that finish with it applied: the success branches, plus
-    recovered failures in deterministic mode (where it covers every
-    trial).  Each such trial contributes its fidelity given its
-    transcript: exact for a fixed input, and averaged over Haar inputs
-    otherwise.  It is None when no trial finished.  ``empirical_p``
+    recovered failures in deterministic mode, where it covers every
+    trial at every point.  Each such trial contributes its fidelity
+    given its transcript: exact for a fixed input, and averaged over
+    Haar inputs otherwise.  It is None when no trial finished.  ``empirical_p``
     counts branches 1-2 over all trials; ``z_score`` compares it with
     ``analytic_p = x + y``, capped at 1, under the binomial standard
     error: 0 when they agree at a certain law, infinite when they differ.
@@ -339,27 +347,29 @@ def monte_carlo(params: ProtocolParams, trials: int, seed: int,
     for done in range(0, trials, _CHUNK):
         w = bits.random_raw(min(_CHUNK, trials - done))
         ge = [g + np.count_nonzero(w >= c) for g, c in zip(ge, table.cuts[0])]
-    hist = np.zeros(table.branch.size, dtype=np.int64)
-    hist[:len(ge) + 1] = [a - b for a, b in pairwise([trials, *ge, 0])]
+    hist = np.zeros(table.prob.size, dtype=np.int64)
+    # a branch bin's trials reach the leaf of the branch the walk returned
+    np.add.at(hist, table.leaf[:len(ge) + 1],
+              [a - b for a, b in pairwise([trials, *ge, 0])])
+    counts = hist[:3].tolist()
+    # leaf 2's failures finish no gate: they are left unrecovered, or in
+    # deterministic mode move to the failure level
+    fails, hist[2] = counts[2], 0
     if deterministic and len(table.edges) > 1:
-        # the failures move off leaf 2: the j-th in trial order reads
-        # words trials + 2j and trials + 2j + 1, its b and the
-        # recovery's branch.  Blocks of a power of two rows, the last cut
-        # short after its draw, keep a call's arrays to a few sizes:
-        # arrays sized to each call's own failure count raised the
-        # process's peak memory call by call.
-        fails, hist[2] = int(hist[2]), 0
+        # the j-th failure in trial order reads words trials + 2j and
+        # trials + 2j + 1, its b and the recovery's branch.  Blocks of a
+        # power of two rows, the last cut short after its draw, keep a
+        # call's arrays to a few sizes: arrays sized to each call's own
+        # failure count raised the process's peak memory call by call.
         for j in range(0, fails, _CHUNK):
             rows = min(_CHUNK, 1 << (fails - j - 1).bit_length())
             leaf = _leaves(table, bits.random_raw(2 * rows).reshape(rows, 2))
             hist[3:] += np.bincount(leaf[:fails - j], minlength=6)
 
-    counts = [int(hist[table.branch == b].sum()) for b in (1, 2, 3)]
     reached = np.flatnonzero(hist)
-    fid = _leaf_fidelity(table.overlap[reached], fixed_weight)
-    have = ~np.isnan(fid)
-    finished = hist[reached[have]]
-    fid_units = _fid_units(finished, fid[have])
+    finished = hist[reached]
+    fid_units = _fid_units(finished, _leaf_fidelity(table.overlap[reached],
+                                                    fixed_weight))
     fid_n = int(finished.sum())
 
     success = counts[0] + counts[1]

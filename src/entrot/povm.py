@@ -366,9 +366,11 @@ def _closed_form(ct, st, ca, sa):
     """The two-regime optimum from ``_trig(theta) + _trig(alpha)``, as
     floats or arrays (broadcast).
 
-    Returns ``(cross, band, x, y, den)``: ``_case(cross, band)`` is the
-    case and ``cos(alpha) sin(theta) cross / den`` the discriminant.  The
-    angles are not validated here: callers pass only points that
+    Returns ``(cross, band, x, y, p, den)``: ``_case(cross, band)`` is
+    the case, ``p`` the success probability ``x + y`` (capped at 1, as it
+    can round above 1 where the optimum is a sure success) and
+    ``cos(alpha) sin(theta) cross / den`` the discriminant.  The angles
+    are not validated here: callers pass only points that
     :class:`ProtocolParams` accepts.
 
     With ``hi``/``lo`` the larger/smaller of ``cos(theta)`` and
@@ -397,8 +399,8 @@ def _closed_form(ct, st, ca, sa):
     band = CASE_BAND * (near + far / 2.0)
     y = cross / -2.0 / s / s
     x = _where(cross > band, a * a / den, y + ct * ca)
-    return (cross, band, _where(x < _NORMAL_MIN, 0.0, x),
-            _where(y < _NORMAL_MIN, 0.0, y), den)
+    x, y = _where(x < _NORMAL_MIN, 0.0, x), _where(y < _NORMAL_MIN, 0.0, y)
+    return cross, band, x, y, _where(x + y > 1.0, 1.0, x + y), den
 
 
 def discriminant(params: ProtocolParams) -> float:
@@ -412,7 +414,7 @@ def discriminant(params: ProtocolParams) -> float:
     """
     ct, st = _trig(params.theta)
     ca, sa = _trig(params.alpha)
-    cross, _, _, _, den = _closed_form(ct, st, ca, sa)
+    cross, *_, den = _closed_form(ct, st, ca, sa)
     return ca * st * (cross / den) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
@@ -426,10 +428,9 @@ def optimum(params: ProtocolParams) -> OptimumResult:
     of the crossover are labelled boundary and use the case I values (the
     two forms agree there).
     """
-    cross, band, x, y, _ = _closed_form(*_trig(params.theta),
-                                        *_trig(params.alpha))
-    # x + y can round above 1 where the optimum is a sure success
-    return OptimumResult(_CASES[_case(cross, band)], x, y, min(x + y, 1.0))
+    cross, band, x, y, p, _ = _closed_form(*_trig(params.theta),
+                                           *_trig(params.alpha))
+    return OptimumResult(_CASES[_case(cross, band)], x, y, p)
 
 
 def bell_conversion_prob(alpha: float) -> float:

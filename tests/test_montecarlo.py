@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import types
 import warnings
 
 import numpy as np
@@ -38,31 +39,37 @@ def engine_streams(seed, n, table, deterministic):
     """The raw decision words ``monte_carlo`` reads on ``table`` for ``n``
     trials, one row per trial and one column per table column.  Column 0,
     the branch, is the stream's first ``n`` words.  In deterministic mode
-    the ``j``-th failure (a branch word in bin 2, where the table has a
-    failure level) reads the ``j``-th word pair after them as its ``b``
-    and recovery branch.  A success, and a plain failure, read no more
-    words: their tail comes from :func:`other_deviates`, so it may move
-    no leaf."""
+    the ``j``-th failure (a branch word in a bin that ``table.leaf`` sends
+    to leaf 2, where the table has a failure level) reads the ``j``-th
+    word pair after them as its ``b`` and recovery branch.  A success,
+    and a plain failure, read no more words: their tail comes from
+    :func:`other_deviates`, so it may move no leaf."""
     k = len(table.edges)
     words = engine_words(seed, 3 * n)
     rows = other_deviates(seed, n, k)
     rows = (rows * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
     rows[:, 0] = words[:n]
     if deterministic and k > 1:
-        fail = (words[:n, None] >= table.cuts[0]).sum(axis=1) == 2
+        fail = table.leaf[(words[:n, None] >= table.cuts[0]).sum(axis=1)] == 2
         rows[fail, 1:] = words[n:n + 2 * fail.sum()].reshape(-1, 2)
     return rows
 
 
 def tree_leaves(table, words, deterministic):
-    """The leaf each row of raw words picks in one mode: its branch bin,
-    and in deterministic mode, for a failure in bin 2, leaf 3 plus the
-    failure leaf its ``b`` and recovery-branch words pick."""
-    leaf = (words[:, :1] >= table.cuts[0]).sum(axis=1)
+    """The leaf each row of raw words picks in one mode: the leaf of its
+    branch bin, and in deterministic mode, for a failure (leaf 2), leaf 3
+    plus the failure leaf its ``b`` and recovery-branch words pick."""
+    leaf = table.leaf[(words[:, :1] >= table.cuts[0]).sum(axis=1)]
     if deterministic and len(table.edges) > 1:
         fail = leaf == 2
         leaf[fail] = 3 + montecarlo._leaves(table, words[fail, 1:])
     return leaf
+
+
+def leaf_branch(leaf):
+    """The branch of each leaf: leaf ``k < 3`` is branch ``k + 1``, and
+    every leaf of the failure level is branch 3."""
+    return np.minimum(leaf, 2) + 1
 
 
 def deviates(words):
@@ -146,17 +153,18 @@ def test_matches_single_run_engine_trial_by_trial(case, deterministic):
         states = [StateVector.basis(("A", "B"), basis)] * n
 
     leaf = tree_leaves(table, words, deterministic)
-    assert set(table.branch[leaf].tolist()) == branches
+    assert set(leaf_branch(leaf).tolist()) == branches
 
     gate = controlled_rotation(params.theta)
     for i, state in enumerate(states):
         out = _execute(params, w, state, runs[i], deterministic, seed=0)
-        assert out.branch == table.branch[leaf[i]]
+        assert out.branch == leaf_branch(leaf[i])
         assert out.bell_pairs_consumed == table.bell[leaf[i]]
         fid = montecarlo._leaf_fidelity(table.overlap[leaf[i:i + 1]],
                                         np.abs(state.amps) ** 2)[0]
         if out.branch == 3 and not deterministic:
-            assert math.isnan(fid)
+            # leaf 2, the failure left unrecovered, has no diagonal
+            assert leaf[i] == 2 and math.isnan(fid)
             assert out.residual is not None
         else:
             want = fidelity(apply_gate(state, gate, ("A", "B")),
@@ -181,17 +189,18 @@ def test_a_trial_reads_its_branch_word_and_a_failure_a_word_pair(
     assert len(table.edges) == 3
     leaf = tree_leaves(table, engine_streams(seed, n, table, deterministic),
                        deterministic)
-    hist = np.bincount(leaf, minlength=table.branch.size)
-    counts = tuple(int(hist[table.branch == b].sum()) for b in (1, 2, 3))
+    hist = np.bincount(leaf, minlength=table.prob.size)
+    counts = tuple(np.bincount(leaf_branch(leaf), minlength=4)[1:].tolist())
+    # a trial finishes the gate on any leaf but leaf 2
     reached = np.flatnonzero(hist)
+    reached = reached[reached != 2]
+    finished = hist[reached]
     fid = montecarlo._leaf_fidelity(table.overlap[reached])
-    have = ~np.isnan(fid)
-    finished = hist[reached[have]]
     want = dataclasses.replace(
         got, branch_counts=counts, success_count=counts[0] + counts[1],
         empirical_p=(counts[0] + counts[1]) / n,
         mean_bell_pairs=int(hist @ table.bell) / n,
-        mean_fidelity=montecarlo._fid_units(finished, fid[have])
+        mean_fidelity=montecarlo._fid_units(finished, fid)
         / (int(finished.sum()) << montecarlo._FID_BITS))
     assert got == want
 
@@ -251,7 +260,7 @@ def float_failure_leaves(table, draws):
 
 def float_leaves(table, draws, deterministic):
     """The leaf each row of deviates ``draws`` picks at the float edges."""
-    leaf = (draws[:, :1] >= table.edges[0]).sum(axis=1)
+    leaf = table.leaf[(draws[:, :1] >= table.edges[0]).sum(axis=1)]
     if deterministic and len(table.edges) > 1:
         fail = leaf == 2
         leaf[fail] = 3 + float_failure_leaves(table, draws[fail])
@@ -477,29 +486,36 @@ def test_a_recovery_sign_never_changes_a_leaf(remaining):
 @pytest.mark.parametrize("deterministic,cells", [(False, 3), (True, 18)])
 def test_a_sign_is_one_bin(deterministic, cells):
     """The table walks one sign per attempt and cuts no column for it.
-    Its first column is the branch, cut at ``(x, x + y)`` into leaves
-    0-2.  Where the walk fails, a failure level follows: the failure's
-    ``b`` (one edge) and the recovery's branch (two), whose leaves
-    ``3 + 3b + r`` make 9 in all.  A recovery attempt never fails, so
-    its table is the branch level alone.  Both modes read this one
-    tree: a plain call its branch column, 3 cells, and a deterministic
-    call at a failing point every column, ``3 * 2 * 3 = 18`` cells,
-    whose failure cells :func:`_leaves` sends one to one onto leaves
-    3-8."""
+    Its first column is the branch, cut at ``(x, x + y)`` into three
+    bins, and ``leaf`` sends each bin to the leaf of the branch the walk
+    returned there: leaf ``k < 3`` is branch ``k + 1``, with that
+    branch's diagonal.  Where the walk fails, leaf 2 is reached and a
+    failure level follows: the failure's ``b`` (one edge) and the
+    recovery's branch (two), whose leaves ``3 + 3b + r`` make 9 in all.
+    A recovery attempt never fails, so its table is the branch level
+    alone.  Both modes read this one tree: a plain call its branch
+    column, 3 cells, and a deterministic call at a failing point every
+    column, ``3 * 2 * 3 = 18`` cells, whose failure cells
+    :func:`_leaves` sends one to one onto leaves 3-8."""
     points = ([case_point(case) for case in EQUIVALENCE_CASES]
               + [_recovery(remaining) for remaining in OWED])
     for params, w in points:
         table = montecarlo._transcript_table(params, w)
-        fails = 3 in table.branch[:3]
+        walked, _ = sign_subtrees(params, w, False)
+        for bins, (branch, _, diagonal) in walked.items():
+            assert table.leaf[bins[0]] == branch - 1
+            if branch != 3:
+                assert np.array_equal(table.phases[branch - 1], diagonal)
+        fails = table.prob[2] > 0.0
+        assert fails == any(b == 3 for b, _, _ in walked.values())
         sizes = [2, 1, 2] if fails else [2]
         assert [e.size for e in table.edges] == sizes
         assert len(table.cuts) == len(sizes)
         assert table.edges[0].tolist() == [w.x, w.x + w.y]
         leaves = 9 if fails else 3
+        assert table.leaf.size == 3
         assert all(len(a) == leaves for a in (
-            table.prob, table.branch, table.bell, table.phases,
-            table.overlap))
-        assert set(table.branch[3:].tolist()) <= {3}
+            table.prob, table.bell, table.phases, table.overlap))
         read = table.edges if deterministic else table.edges[:1]
         assert math.prod(e.size + 1 for e in read) == (
             cells if fails else 3)
@@ -595,17 +611,69 @@ def test_leaf_counts_follow_the_leaf_law(case, deterministic):
 def test_a_folded_failure_bin_makes_no_failure_level():
     """At (1e-13, 0.3) the optimum leaves a failure bin about 1e-13
     wide, and on the probe the POVM step folds that vanishing branch
-    into a success.  The walk yields no failure, so the table has no
+    into a success.  The walk yields no failure, so the bin's width goes
+    to a success leaf, leaf 2 is never reached and the table has no
     failure level, and a deterministic call is the plain call but for
-    its mode."""
+    its mode.  The converse holds at :data:`FAILING_SUCCESS_BIN`: its
+    one-unit bin 1 fails on the probe, so it is sent to leaf 2 and the
+    point has a failure level."""
     params = ProtocolParams(1e-13, 0.3)
-    table = montecarlo._transcript_table(params, optimum(params).weights)
-    assert table.prob[2] > 0.0 and table.branch[2] in (1, 2)
-    assert len(table.edges) == 1 and table.branch.size == 3
+    w = optimum(params).weights
+    table = montecarlo._transcript_table(params, w)
+    assert table.leaf[2] in (0, 1) and table.prob[2] == 0.0
+    assert table.prob[table.leaf[2]] > 0.0
+    assert table.prob[:2].sum() == pytest.approx(1.0, abs=1e-15)
+    assert len(table.edges) == 1 and table.prob.size == 3
     for n, seed in ((64, 64), (5000, 3)):
         plain = monte_carlo(params, n, seed)
         det = monte_carlo(params, n, seed, deterministic=True)
         assert det == dataclasses.replace(plain, deterministic=True)
+    table = montecarlo._transcript_table(*FAILING_SUCCESS_BIN)
+    assert table.leaf.tolist() == [0, 2, 2] and table.prob[1] == 0.0
+    assert len(table.edges) == 3 and table.prob.size == 9
+
+
+#: Custom weights whose ``y`` is within round-off of 0: branch bin 1 is
+#: one word unit wide, and on the probe the walk fails there.
+FAILING_SUCCESS_BIN = (ProtocolParams(1.0005370787536199, 0.4237799789983536),
+                       PovmWeights(0.16646132067112823, 7.392367636743923e-17))
+
+
+@pytest.mark.parametrize("n", [1, 5000])
+def test_a_failing_success_bin_is_recovered(monkeypatch, n):
+    """Every branch word at the first word of bin 1, a bin whose walk
+    returns branch 3 (a single run at that deviate fails and spends one
+    Bell pair): a plain call counts every trial as an unrecovered
+    failure, and a deterministic call recovers every one of them with a
+    Bell pair, reading its word pairs from a real stream."""
+    params, w = FAILING_SUCCESS_BIN
+    table = montecarlo._transcript_table(params, w)
+    first = int(table.cuts[0][0])
+    assert int(table.cuts[0][1]) - first == 1 << 11
+    out = _execute(params, w, StateVector.basis(("A", "B"), "10"),
+                   [0.5, deviates(np.uint64(first)), 0.5, 0.5, 0.5],
+                   True, seed=0)
+    assert out.branch == 3 and out.bell_pairs_consumed == 1
+
+    def stream(seed, channel):
+        real = _rng_from_seed(seed, channel).bit_generator
+        left = [n]
+
+        def random_raw(size):
+            head = min(size, left[0])
+            left[0] -= head
+            return np.concatenate([np.full(head, first, np.uint64),
+                                   real.random_raw(size - head)])
+        return types.SimpleNamespace(
+            bit_generator=types.SimpleNamespace(random_raw=random_raw))
+
+    monkeypatch.setattr(montecarlo, "_rng_from_seed", stream)
+    plain = monte_carlo(params, n, 5, weights=w)
+    assert plain.branch_counts == (0, 0, n) and plain.mean_fidelity is None
+    det = monte_carlo(params, n, 5, weights=w, deterministic=True)
+    assert det.branch_counts == (0, 0, n)
+    assert det.mean_bell_pairs == 1.0
+    assert det.mean_fidelity >= 1 - 1e-12
 
 
 @pytest.fixture
@@ -673,7 +741,7 @@ def test_equal_keys_share_one_read_only_table(fresh_tables):
 
     table = montecarlo._transcript_table(*point())
     assert montecarlo._transcript_table(*point()) is table
-    for array in (*table.edges, *table.cuts, table.prob, table.branch,
+    for array in (*table.edges, *table.cuts, table.prob, table.leaf,
                   table.bell, table.phases, table.overlap):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
