@@ -9,7 +9,11 @@ own memos.  Each path runs once untimed on each side, then in timed
 pairs whose order flips every pair, so a slow spell of a shared host
 falls on both sides alike.  Per path, the file keeps each side's median
 and quartiles and the number of pairs the ``PYTHONPATH`` side won (a
-tie counts for neither).  An existing ``--out`` is replaced.
+tie counts for neither).  One more untimed pass per side wraps
+``pmax_oracle``'s per-round search at its ``povm`` binding and records
+the share of the oracle's time in its first round and in its refinement
+rounds (``stages``; ``null`` for a side without that function).  An
+existing ``--out`` is replaced.
 
 Example:
     PYTHONPATH=src python3 scripts/bench.py --against ../parent --out BENCH.json
@@ -34,8 +38,9 @@ import numpy as np
 
 import entrot
 
-#: Per size: Monte Carlo trials, sweep points per axis and timed pairs.
-SIZES = {"full": (1_000_000, 400, 21), "tiny": (1_000, 5, 3)}
+#: Per size: Monte Carlo trials, sweep points per axis, timed pairs and
+#: the seeded points of the untimed ``pmax_oracle`` stage pass.
+SIZES = {"full": (1_000_000, 400, 21, 50), "tiny": (1_000, 5, 3, 2)}
 
 
 def _load(checkout: pathlib.Path):
@@ -52,7 +57,7 @@ def _load(checkout: pathlib.Path):
 
 def _paths(package, size: str, workdir: str) -> dict:
     """One side's call per path; every call is independent of the last."""
-    trials, points, _ = SIZES[size]
+    trials, points, *_ = SIZES[size]
     cli, mc, protocol = (importlib.import_module(f"{package.__name__}.{name}")
                          for name in ("cli", "montecarlo", "protocol"))
     params = package.ProtocolParams(math.pi / 4, math.pi / 6)
@@ -119,8 +124,43 @@ def _side(package) -> dict:
             "git_dirty": None if sha is None else bool(status)}
 
 
+def _oracle_stages(package, points: list):
+    """Shares of ``pmax_oracle``'s time spent in its first round and in
+    its refinement rounds, over one untimed call per point, with the
+    per-round search ``povm._best_feasible_y`` wrapped at its module
+    binding; None if the side has no such function."""
+    povm = importlib.import_module(f"{package.__name__}.povm")
+    search = getattr(povm, "_best_feasible_y", None)
+    if search is None:
+        return None
+    spent = [0.0, 0.0]  # first round, refinement rounds
+    rounds = 0
+
+    def timed(*args):
+        nonlocal rounds
+        start = time.perf_counter()
+        try:
+            return search(*args)
+        finally:
+            spent[rounds > 0] += time.perf_counter() - start
+            rounds += 1
+
+    povm._best_feasible_y = timed
+    try:
+        start = time.perf_counter()
+        for angles in points:
+            rounds = 0
+            package.pmax_oracle(package.ProtocolParams(*angles),
+                                resolution=1e-5)
+        total = time.perf_counter() - start
+    finally:
+        povm._best_feasible_y = search
+    return {"first_round": spent[0] / total,
+            "refinement_rounds": spent[1] / total}
+
+
 def measure(size: str, against) -> dict:
-    trials, points, pairs = SIZES[size]
+    trials, points, pairs, stage_points = SIZES[size]
     results = {}
     with tempfile.TemporaryDirectory(prefix="entrot-bench-") as workdir:
         ours, theirs = (_paths(package, size, workdir)
@@ -139,6 +179,11 @@ def measure(size: str, against) -> dict:
                 "pythonpath": _quartiles(times[0]),
                 "against": _quartiles(times[1]),
                 "pythonpath_won": sum(a < b for a, b in zip(*times))}
+    angles = np.random.default_rng(11).uniform(0.05, 0.5, (stage_points, 2))
+    angles = (angles * math.pi).tolist()
+    stages = {"pmax_oracle": {side: _oracle_stages(package, angles)
+                              for side, package in (("pythonpath", entrot),
+                                                    ("against", against))}}
     return {
         "schema": 3,
         "pythonpath": _side(entrot),
@@ -152,8 +197,10 @@ def measure(size: str, against) -> dict:
                         if hasattr(os, "sched_getaffinity") else None),
         "size": {"name": size, "monte_carlo_trials": trials,
                  "sweep_points_per_axis": points, "pairs": pairs,
-                 "pmax_oracle_resolution": 1e-5, "threshold_tol": 1e-4},
+                 "pmax_oracle_resolution": 1e-5, "threshold_tol": 1e-4,
+                 "stage_points": stage_points},
         "paths": results,
+        "stages": stages,
     }
 
 

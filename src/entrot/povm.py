@@ -446,8 +446,8 @@ def bell_conversion_prob(alpha: float) -> float:
 
 BOX = 1.2
 
-#: Bisection steps per ``y`` in :func:`_best_feasible_y`; 48 halvings of
-#: ``BOX`` leave an interval below 1e-14.
+#: Halvings of the width per ``y`` in :func:`_best_feasible_y`; 48 of
+#: ``BOX`` leave a final width of ``1.2 * 2**-48``, below 1e-14.
 _Y_BISECTIONS = 48
 
 #: The smallest resource angle :func:`pmax_oracle` accepts.  The entries
@@ -456,41 +456,74 @@ _Y_BISECTIONS = 48
 ORACLE_MIN_ALPHA = 1e-150
 
 
+def _e3_entries(x, y, p1: np.ndarray, p2: np.ndarray) -> tuple:
+    """The entries ``(a, b, d)`` of ``E3 = I - x P1 - y P2`` as
+    :func:`build_povm` forms them, ``(I - x P1) - y P2``, for floats or
+    arrays: :func:`_min_eig2` of them is the eigenvalue ``build_povm``
+    certifies."""
+    return ((1.0 - x * p1[0, 0]) - y * p2[0, 0],
+            -x * p1[0, 1] - y * p2[0, 1],
+            (1.0 - x * p1[1, 1]) - y * p2[1, 1])
+
+
 def _best_feasible_y(xs: np.ndarray, p1: np.ndarray,
                      p2: np.ndarray) -> np.ndarray:
-    """Largest feasible ``y`` in [0, BOX) for each ``x``, by bisection.
+    """Largest feasible ``y`` in [0, BOX) for each ``x``, by halving.
 
-    ``feasible`` asks that the smallest eigenvalue of the assembled
-    ``E3 = I - x P1 - y P2``, read from its three entries by
-    :func:`_min_eig2`, be at least ``-EIG_TOL``; the ``x`` side of each
-    entry is formed once.  ``P2`` is PSD, so the feasible ``y`` form an
-    interval from 0 and bisection is exact.  No ``y = BOX`` passes: for
-    ``x >= 0``, ``u = v2/|v2|`` gives ``u^T E3 u <= 1 - BOX |v2|^2``, and
-    ``|v2|^2 = sin^2(theta/2)/cos^2(alpha/2) + cos^2(theta/2)/sin^2(alpha/2)
-    >= 1``, so the eigenvalue is at most -0.2, a sixth of the largest
-    term.  An ``x`` where even ``y = 0`` is infeasible gets ``-inf``, the
-    supremum of an empty set, and only the others are bisected.
+    A ``y`` is feasible when the smallest eigenvalue of ``E3 = I - x P1 -
+    y P2`` is at least ``-EIG_TOL``.  ``P2`` is PSD, so the feasible ``y``
+    form an interval from 0 and halving is exact.  No ``y = BOX`` passes:
+    for ``x >= 0``, ``u = v2/|v2|`` gives ``u^T E3 u <= 1 - BOX |v2|^2``,
+    and ``|v2|^2 = sin^2(theta/2)/cos^2(alpha/2) +
+    cos^2(theta/2)/sin^2(alpha/2) >= 1``, so the eigenvalue is at most
+    -0.2, a sixth of the largest term.
+
+    The eigenvalue is ``s - hypot(h, b)`` with ``s = (a + d)/2`` and ``h =
+    (a - d)/2``, and ``s``, ``h`` and ``b`` are linear in ``y``: one
+    ``(3, m)`` block at ``y = 0`` less ``y`` times a ``(3, 1)`` slope.
+    Each of the ``_Y_BISECTIONS`` halvings narrows one scalar width, ``w
+    <- w/2``, and moves ``lo`` to ``lo + w`` wherever that is feasible.
+    The linear entries round differently from the ones
+    :func:`build_povm` forms, so each final ``lo`` is then certified with
+    :func:`_e3_entries` and stepped down by the last width until it
+    passes.  An ``x`` where even ``y = 0`` fails that check gets ``-inf``,
+    the supremum of an empty set.  Only the span from the first to the
+    last live ``x`` (where ``y = 0`` passes) is halved, through views of
+    buffers of the round's size, so no array is sized by the live
+    count.
     """
-    a0 = 1.0 - xs * p1[0, 0]
-    b0 = -xs * p1[0, 1]
-    d0 = 1.0 - xs * p1[1, 1]
-
-    def feasible(ys: np.ndarray) -> np.ndarray:
-        return _min_eig2(a0 - ys * p2[0, 0], b0 - ys * p2[0, 1],
-                         d0 - ys * p2[1, 1]) >= -EIG_TOL
-
-    alive = feasible(np.zeros_like(xs))
-    best = np.full_like(xs, -np.inf)
-    a0, b0, d0 = a0[alive], b0[alive], d0[alive]
-    lo = np.zeros_like(a0)
-    hi = np.full_like(a0, BOX)
-    for _ in range(_Y_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        ok = feasible(mid)
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
-    best[alive] = lo
-    return best
+    a, b, d = _e3_entries(xs, 0.0, p1, p2)
+    alive = _min_eig2(a, b, d) >= -EIG_TOL
+    ys = np.zeros_like(xs)
+    first = int(alive.argmax())
+    if alive[first]:
+        span = slice(first, xs.size - int(alive[::-1].argmax()))
+        base = np.array([0.5 * (a + d), 0.5 * (a - d), b])[:, span]
+        slope = np.array([[0.5 * (p2[0, 0] + p2[1, 1])],
+                          [0.5 * (p2[0, 0] - p2[1, 1])], [p2[0, 1]]])
+        block = np.empty((3, xs.size))[:, span]
+        s, h, off = block
+        lo = ys[span]
+        mid, gap = np.empty((2, xs.size))[:, span]
+        ok = np.empty_like(alive)[span]
+        w = BOX
+        for _ in range(_Y_BISECTIONS):
+            w /= 2
+            np.add(lo, w, out=mid)
+            np.multiply(slope, mid, out=block)
+            np.subtract(base, block, out=block)
+            np.hypot(h, off, out=gap)
+            np.subtract(s, gap, out=gap)
+            np.greater_equal(gap, -EIG_TOL, out=ok)
+            np.copyto(lo, mid, where=ok)
+        while True:
+            passed = _min_eig2(*_e3_entries(xs, ys, p1, p2)) >= -EIG_TOL
+            bad = alive & ~passed
+            if not bad.any():
+                break
+            np.subtract(ys, w, out=ys, where=bad)
+    np.copyto(ys, -np.inf, where=~alive)
+    return ys
 
 
 def pmax_oracle(params: ProtocolParams,
@@ -498,15 +531,19 @@ def pmax_oracle(params: ProtocolParams,
     """Brute-force check value for :func:`optimum`, sharing no formulas.
 
     Maximizes ``x + y`` over the box ``[0, BOX]^2``.  Feasibility is
-    decided solely by the smallest eigenvalue of the assembled ``E3``
-    matrix, computed from its three entries (never from the closed-form
-    trace/determinant, which are what this oracle is meant to check).
-    The search scans a grid of ``x`` values, solves the largest feasible
-    ``y`` for each by eigenvalue bisection, and re-grids around the
-    incumbent until the ``x`` step is below ``resolution / 10``.  The
-    feasible region is convex and the objective linear, so the scan over
-    ``x`` maximizes a concave function and the refinement cannot get
-    trapped.  Ties are broken toward lexicographically smaller ``(x, y)``.
+    decided solely by the smallest eigenvalue of ``E3``, computed from
+    its three entries (never from the closed-form trace/determinant,
+    which are what this oracle is meant to check).  The search scans a
+    grid of 1201 ``x`` values, finds the largest feasible ``y`` for each
+    (:func:`_best_feasible_y`), and re-grids 81 points over two steps
+    either side of the incumbent until the ``x`` step is below
+    ``resolution / 10``.  Each round halves one scalar width over entries
+    that are linear in ``y``, in buffers of the round's size, then
+    certifies each ``y`` with the entries :func:`build_povm` forms, so
+    every answer is weights that ``build_povm`` accepts.  The feasible
+    region is convex and the objective linear, so the scan over ``x``
+    maximizes a concave function and the refinement cannot get trapped.
+    Ties are broken toward lexicographically smaller ``(x, y)``.
 
     ``alpha`` must be at least ``ORACLE_MIN_ALPHA``: below it the squared
     entries of ``P1`` and ``P2`` overflow, and ``ValueError`` is raised.

@@ -560,27 +560,69 @@ def test_oracle_reproduces_known_optima(theta, alpha, expected):
 def test_oracle_optima_are_bit_exact():
     """The oracle's exact answers at the known optima.  ``y`` sits
     ``EIG_TOL / |v2|^2`` past the boundary, so flipping the slack's sign
-    changes them."""
-    assert pmax_oracle(ProtocolParams(HALF_PI, math.pi / 3)) == (
-        0.25, 0.2500000000004974, 0.5000000000004974)
-    assert pmax_oracle(ProtocolParams(math.pi / 4, math.pi / 6)) == (
-        0.322474375, 4.4932075127235296e-08, 0.3224744199320751)
-    assert pmax_oracle(ProtocolParams(0.4 * math.pi, HALF_PI)) == (
-        0.5, 0.5000000000004958, 1.0000000000004958)
+    changes them: each answer's smallest eigenvalue lies in
+    ``[-EIG_TOL, 0)``."""
+    pinned = {
+        (HALF_PI, math.pi / 3): (0.25, 0.2500000000004973, 0.5000000000004974),
+        (math.pi / 4, math.pi / 6): (0.322474375, 4.493207512723529e-08,
+                                     0.3224744199320751),
+        (0.4 * math.pi, HALF_PI): (0.5, 0.5000000000004958, 1.0000000000004958),
+    }
+    for angles, triple in pinned.items():
+        params = ProtocolParams(*angles)
+        assert pmax_oracle(params) == triple
+        slack = build_povm(params, PovmWeights(*triple[:2])).min_eig_e3
+        assert -povm.EIG_TOL <= slack < 0.0
+
+
+def test_oracle_answers_are_certified_by_build_povm():
+    """Every answer of the oracle is weights ``build_povm`` accepts, no
+    better than the closed form beyond round-off and within the search's
+    resolution of it: on seeded points, the least resource angle the
+    oracle takes and a Bell resource at the largest gate angle.  The
+    halving decides feasibility from entries that round differently from
+    ``build_povm``'s, so this holds only through the final certification.
+    Without it about 1 answer in 500 fails, so every ``y`` of the first
+    round at 20 of the points (~10k answers) is checked as well."""
+    rng = np.random.default_rng(20261021)
+    points = rng.uniform(0.01, 0.5, size=(200, 2)) * math.pi
+    for theta, alpha in [*points.tolist(), (0.3, 1e-150), (HALF_PI, HALF_PI)]:
+        params = ProtocolParams(theta, alpha)
+        x, y, p = pmax_oracle(params)
+        best = optimum(params).p_max
+        assert build_povm(params, PovmWeights(x, y)).positive
+        assert p <= best + 1e-9
+        assert abs(p - best) <= 1e-5
+    xs = np.linspace(0.0, povm.BOX, 1201)
+    checked = 0
+    for theta, alpha in points[:20].tolist():
+        params = ProtocolParams(theta, alpha)
+        v1, v2 = povm_vectors(params)
+        ys = povm._best_feasible_y(xs, np.outer(v1, v1), np.outer(v2, v2))
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            if y >= 0.0:  # -inf: infeasible at y = 0
+                assert build_povm(params, PovmWeights(x, y)).positive
+                checked += 1
+    assert checked >= 5000
 
 
 def test_entry_min_eig_matches_a_50_digit_reference():
     """The smallest eigenvalue of ``E3 = I - x P1 - y P2``, read from the
     matrix's entries, agrees with a 50-digit eigenvalue of the same matrix
     to a few ulps of its largest term (``I``, ``x P1`` or ``y P2``).  The
-    oracle's is checked at random ``y`` and within a few ulps of both
-    feasibility boundaries, the exact one (eigenvalue 0) and the oracle's
-    own (eigenvalue ``-EIG_TOL``); ``build_povm``'s at the optimum weights
-    and at half of them."""
+    entries the oracle certifies (``_e3_entries``) are checked at random
+    ``y`` and within a few ulps of both feasibility boundaries, the exact
+    one (eigenvalue 0) and the oracle's own (eigenvalue ``-EIG_TOL``);
+    ``build_povm``'s at the optimum weights and at half of them.  Each
+    ``y`` of ``_best_feasible_y`` lies within one final width below the
+    oracle's boundary: to the same few ulps, the 50-digit eigenvalue is
+    at least ``-EIG_TOL`` at ``y`` and at most ``-EIG_TOL`` one width
+    above it."""
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20261018)
     ulps = np.arange(-3.0, 4.0)
-    worst, checked = 0.0, 0
+    width = povm.BOX * 2.0 ** -povm._Y_BISECTIONS
+    worst, checked, bracketed = 0.0, 0, 0
     with mpmath.workdps(50):
         for theta, alpha in rng.uniform(0.02, 0.5, size=(12, 2)) * math.pi:
             params = ProtocolParams(float(theta), float(alpha))
@@ -592,6 +634,15 @@ def test_entry_min_eig_matches_a_50_digit_reference():
             w = mpmath.matrix(v2.tolist())
             got = []  # (x, y, smallest eigenvalue from the entries)
             for x, y_tol in zip(xs.tolist(), edge.tolist()):
+                if y_tol >= 0.0:  # -inf: infeasible at y = 0
+                    for y, side in ((y_tol, 1.0), (y_tol + width, -1.0)):
+                        value = min(mpmath.eigsy(
+                            mpmath.eye(2) - x * m1 - y * m2)[0])
+                        scale = max(1.0, x * np.abs(p1).max(),
+                                    y * np.abs(p2).max())
+                        assert side * (value + povm.EIG_TOL) >= \
+                            -4 * np.finfo(float).eps * scale
+                    bracketed += 1
                 m = mpmath.eye(2) - x * m1
                 # det(m - y w w^T) = det(m) - y w^T adj(m) w: its zero is
                 # the exact boundary, up to the rounding of P2's entries
@@ -601,10 +652,8 @@ def test_entry_min_eig_matches_a_50_digit_reference():
                 for centre in (float(y_zero), y_tol):
                     if 0.0 <= centre <= povm.BOX:  # -inf: infeasible at y = 0
                         ys += (centre + ulps * np.spacing(centre)).tolist()
-                ys = np.array(ys)  # the entries as the oracle forms them
-                values = povm._min_eig2((1.0 - x * p1[0, 0]) - ys * p2[0, 0],
-                                        (-x * p1[0, 1]) - ys * p2[0, 1],
-                                        (1.0 - x * p1[1, 1]) - ys * p2[1, 1])
+                ys = np.array(ys)
+                values = povm._min_eig2(*povm._e3_entries(x, ys, p1, p2))
                 got += [(x, y, v) for y, v in zip(ys.tolist(), values.tolist())]
             best = optimum(params)
             for f in (1.0, 0.5):
@@ -617,4 +666,5 @@ def test_entry_min_eig_matches_a_50_digit_reference():
                 worst = max(worst, float(abs(value - want)) / scale)
                 checked += 1
     assert checked >= 500
+    assert bracketed >= 30
     assert worst <= 4 * np.finfo(float).eps

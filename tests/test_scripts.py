@@ -98,11 +98,15 @@ PATHS = {"monte_carlo", "monte_carlo_deterministic",
 
 def test_bench_script_compares_two_checkouts(tmp_path, checkout_env):
     """A tiny run against a copy of this package replaces the file with
-    both sides' quartiles and the pair count per path; no timing is
-    checked."""
+    both sides' quartiles and the pair count per path, and the oracle's
+    stage shares; no timing is checked.  The copy's per-round search is
+    renamed, so its side records no stages."""
     copy = tmp_path / "copy"
     shutil.copytree(PACKAGE, copy / "src" / "entrot",
                     ignore=shutil.ignore_patterns("__pycache__"))
+    povm = copy / "src" / "entrot" / "povm.py"
+    povm.write_text(povm.read_text(encoding="utf-8").replace(
+        "_best_feasible_y", "_renamed_search"), encoding="utf-8")
     out = tmp_path / "bench.json"
     out.write_text('{"schema": 2, "runs": {}}\n', encoding="utf-8")
     proc = run_script(checkout_env, "bench.py", "--size", "tiny",
@@ -111,9 +115,16 @@ def test_bench_script_compares_two_checkouts(tmp_path, checkout_env):
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert set(doc) == {"schema", "pythonpath", "against", "python", "numpy",
                         "machine", "cpu_count", "usable_cpus", "size",
-                        "paths"}
+                        "paths", "stages"}
     assert doc["schema"] == 3
     assert doc["size"]["name"] == "tiny" and doc["size"]["pairs"] == 3
+    assert doc["size"]["stage_points"] == 2
+    stages = doc["stages"]["pmax_oracle"]
+    assert stages["against"] is None
+    shares = stages["pythonpath"]
+    assert set(shares) == {"first_round", "refinement_rounds"}
+    assert all(0.0 < v < 1.0 for v in shares.values())
+    assert sum(shares.values()) <= 1.0
     assert isinstance(doc["cpu_count"], int)
     assert 1 <= doc["usable_cpus"] <= doc["cpu_count"]
     for side, where in (("pythonpath", PACKAGE),
