@@ -13,7 +13,9 @@ codes: 0 success, 1 I/O failure, 2 usage or domain error, 3 failed
 verification (including a simulate run whose success rate strays more
 than 5 sigma from the closed form).  All numeric text output is rounded
 to 12 significant digits, and identical invocations with identical seeds
-produce byte-identical output.
+produce byte-identical output.  ``verify`` details follow the same rule:
+each check's worst sample and its bound are written at 12 digits (see
+:class:`entrot.verify.CheckResult`).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrot import cli, entanglement, povm, protocol
+from entrot import cli, entanglement, montecarlo, povm, protocol, verify
 from entrot.cli import _parse_angle, _parse_grid, main
 from entrot.entanglement import average_cost
 from entrot.povm import HALF_PI
@@ -750,11 +750,43 @@ def _negated_crossover(real):
     return closed_form
 
 
+def _case_ii_jump(real):
+    """``optimum`` whose ``p_max`` is 1e-6 high in case II only, so it
+    jumps where the two regimes meet."""
+    def optimum(params):
+        best = real(params)
+        if best.case is povm.CaseLabel.CASE_II:
+            best = dataclasses.replace(best, p_max=best.p_max + 1e-6)
+        return best
+    return optimum
+
+
+def _oracle_off(real):
+    def pmax_oracle(params, **kwargs):
+        x, y, p = real(params, **kwargs)
+        return x, y, p + 1e-3
+    return pmax_oracle
+
+
+def _shrunk_table(real):
+    """``_transcript_table`` built with ``x`` scaled by 0.9, so the sampled
+    success rate drifts from the one the weights promise.  A recovery's
+    table, at a Bell resource, keeps its weights: scaled, it would fail
+    and recover without end."""
+    def _transcript_table(params, weights):
+        if params.alpha != HALF_PI:
+            weights = povm.PovmWeights(0.9 * weights.x, weights.y)
+        return real(params, weights)
+    return _transcript_table
+
+
 #: (level, module, attribute, corruption of the real function, the check
 #: that must fail).  One defect per identity the checks tie together.
 SEEDED_DEFECTS = {
     "tr_e3": ("quick", povm, "tr_e3",
               lambda real: lambda p, w: real(p, w) + 1e-6, "tr_e3_formula"),
+    "det_e3": ("quick", povm, "det_e3",
+               lambda real: lambda p, w: real(p, w) + 1e-6, "det_e3_formula"),
     "discriminant": ("quick", povm, "discriminant",
                      lambda real: lambda p: -real(p),
                      "discriminant_case_split"),
@@ -771,12 +803,37 @@ SEEDED_DEFECTS = {
                      "cost_identity"),
     "optimum": ("quick", povm, "optimum", _infeasible_optimum,
                 "optimum_feasible"),
+    "optimum_case_ii": ("quick", povm, "optimum", _case_ii_jump,
+                        "case_boundary_continuity"),
+    "optimum_short_of_one": ("quick", povm, "optimum",
+                             lambda real: _shift_field(real, "p_max", -1e-15),
+                             "bell_resource_projective"),
+    # NaN is on no side of a bound: a worst value kept by ``max`` would
+    # drop it and pass
+    "tr_e3_nan": ("quick", povm, "tr_e3",
+                  lambda real: lambda p, w: math.nan, "tr_e3_formula"),
+    "optimum_nan": ("quick", povm, "optimum",
+                    lambda real: _shift_field(real, "p_max", math.nan),
+                    "case_boundary_continuity"),
     "controlled_rotation_full": ("full", protocol, "controlled_rotation",
                                  lambda real: lambda t: real(t + 1e-3),
                                  "residual_reconstruction"),
     "threshold_theta": ("full", entanglement, "threshold_theta",
                         _raise_bracket, "break_even_angle"),
+    "pmax_oracle": ("full", povm, "pmax_oracle", _oracle_off,
+                    "pmax_oracle_agreement"),
+    "transcript_table": ("full", montecarlo, "_transcript_table",
+                         _shrunk_table, "monte_carlo_success_rate"),
+    "recover_with_bell": ("full", protocol, "recover_with_bell",
+                          lambda real: lambda state, theta, *rest: real(
+                              state, theta + 1e-3, *rest),
+                          "deterministic_completion"),
 }
+
+
+def test_every_check_has_a_seeded_defect():
+    """A check no defect trips could pass whatever the code computes."""
+    assert {d[-1] for d in SEEDED_DEFECTS.values()} == set(verify._CHECKS)
 
 
 @pytest.mark.parametrize("defect", sorted(SEEDED_DEFECTS))

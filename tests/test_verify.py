@@ -1,9 +1,12 @@
 """Self-consistency check runner."""
 
+import math
 import subprocess
 import sys
+import warnings
 import zlib
 
+import numpy as np
 import pytest
 
 from entrot import verify
@@ -50,10 +53,37 @@ def test_adding_a_check_moves_no_other_checks_draws(monkeypatch):
     names = list(verify._CHECKS)
     assert len({zlib.crc32(name.encode()) for name in names}) == len(names)
     before = run_checks("quick", seed=2)
-    monkeypatch.setitem(verify._CHECKS, "a_first_check", (True, lambda rng: (
-        True, f"drew {rng.uniform():.6f}")))
+    monkeypatch.setitem(verify._CHECKS, "a_first_check", (True, lambda rng: [
+        ("draw", rng.uniform(), "<=", 1.0)]))
     after = run_checks("quick", seed=2)
-    assert after[0].name == "a_first_check" and after[1:] == before
+    assert after[0].name == "a_first_check" and after[0].passed
+    assert after[1:] == before
+
+
+@pytest.mark.parametrize("side, past", [("<=", math.inf), (">=", -math.inf),
+                                        ("==", math.inf), ("==", -math.inf)])
+def test_judge_puts_the_bound_on_the_passing_side(side, past):
+    """A sample at its bound passes and one ulp past it fails; so does a
+    NaN, with no warning, wherever it sits among the samples."""
+    bound = 1e-12
+    assert verify._judge([("x", bound, side, bound)]) == (
+        True, f"x = 1e-12 {side} 1e-12 over 1")
+    beyond = math.nextafter(bound, past)
+    assert verify._judge([("x", [bound, beyond], side, bound)]) == (
+        False, f"x = {beyond:.12g} {side} 1e-12 over 2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for samples in ([math.nan, bound], [bound, np.float64("nan")],
+                        math.nan):
+            passed, detail = verify._judge([("x", samples, side, bound)])
+            assert not passed and detail.startswith(f"x = nan {side} 1e-12")
+
+
+def test_judge_fails_a_measurement_without_samples_and_joins_parts():
+    passed, detail = verify._judge([("a", [0.0, 2.0, 1.0], "<=", 2.0),
+                                    ("b", [], ">=", 0.0)])
+    assert not passed
+    assert detail == "a = 2 <= 2 over 3; b = nan >= 0 over 0"
 
 
 def test_unknown_level_rejected():
